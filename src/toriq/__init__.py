@@ -65,7 +65,6 @@ from .points import (
 from .scene import Scene, SceneParseError, SceneValidationError, builtin_scene, load_scene
 from .separation import (
     CheckResult,
-    FamilyIdentification,
     IdentClass,
     IdentificationPartition,
     VerificationReport,

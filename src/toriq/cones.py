@@ -403,15 +403,8 @@ def semigroup_generators(c: Cone) -> tuple[IntVec, ...]:
     else:
         qmat = lin.quotient_matrix()
         cbar = Cone.from_generators([qmat.apply(r) for r in c.rays], qmat.nrows)
-        lifted = []
-        for h in _hilbert_basis_pointed(cbar):
-            x = list(lin.lift_from_quotient(h))
-            for row in lin.basis:
-                p = next(j for j, e in enumerate(row) if e != 0)
-                q = x[p] // row[p]
-                if q:
-                    x = [a - q * b for a, b in zip(x, row)]
-            lifted.append(tuple(x))
+        lift = lin.lift_matrix()
+        lifted = [lin.reduce(lift.apply(h)) for h in _hilbert_basis_pointed(cbar)]
         extra = []
         for b in lin.basis:
             extra.append(b)

@@ -1,11 +1,16 @@
 """Exact integer and rational linear algebra.
 
-Everything here works over arbitrary-precision Python ints and
-``fractions.Fraction``; no floating point is used anywhere.  Vectors are
-plain tuples of ints, matrices are immutable ``IntMatrix`` values acting on
-column vectors.  The module provides Hermite and Smith normal forms with
-their unimodular transforms, saturated kernels, sublattices with canonical
-HNF bases, and an exact solver for monomial (torus character) equations.
+Everything here works over arbitrary-precision Python ints; no floating
+point is used anywhere.  Vectors are plain tuples of ints, matrices are
+immutable ``IntMatrix`` values acting on column vectors.  The module
+provides Hermite and Smith normal forms with their unimodular transforms,
+saturated kernels, sublattices with canonical HNF bases, and an exact solver
+for monomial (torus character) equations.
+
+Rank, rational span and ray reduction share one fraction-free elimination
+(``_echelon`` and ``_clear``); inverses of unimodular matrices come from the
+HNF transform.  ``fractions.Fraction`` appears only in torus coordinates:
+monomial values, coset reduction and the torus equation solver.
 """
 
 from __future__ import annotations
@@ -60,15 +65,6 @@ def primitive(a: Sequence[int]) -> IntVec:
     if g <= 1:
         return tuple(a)
     return tuple(x // g for x in a)
-
-
-def primitive_fraction_vector(a: Sequence[Fraction]) -> IntVec:
-    """Scale a nonzero rational vector to its primitive integer multiple."""
-    denom = 1
-    for x in a:
-        denom = denom * x.denominator // gcd(denom, x.denominator)
-    ints = [int(x * denom) for x in a]
-    return primitive(ints)
 
 
 def xgcd(a: int, b: int) -> tuple[int, int, int]:
@@ -193,78 +189,65 @@ class IntMatrix:
         return rank_of_rows(self.rows)
 
     def inverse_unimodular(self) -> "IntMatrix":
-        """Inverse of a unimodular matrix, exact and integral."""
-        n = self.nrows
-        if n != self.ncols:
-            raise ValueError("inverse of a non-square matrix")
-        aug = [[Fraction(x) for x in row] + [Fraction(int(i == j)) for j in range(n)]
-               for i, row in enumerate(self.rows)]
-        for col in range(n):
-            piv = next(i for i in range(col, n) if aug[i][col] != 0)
-            aug[col], aug[piv] = aug[piv], aug[col]
-            p = aug[col][col]
-            aug[col] = [x / p for x in aug[col]]
-            for i in range(n):
-                if i != col and aug[i][col] != 0:
-                    f = aug[i][col]
-                    aug[i] = [x - f * y for x, y in zip(aug[i], aug[col])]
-        inv_rows = []
-        for i in range(n):
-            row = aug[i][n:]
-            if any(x.denominator != 1 for x in row):
-                raise ValueError("matrix is not unimodular")
-            inv_rows.append(tuple(int(x) for x in row))
-        return IntMatrix(tuple(inv_rows), n)
+        """Inverse of a unimodular matrix, exact and integral: the HNF
+        transform U with U @ self == identity."""
+        h, u = hermite_normal_form(self)
+        if h != IntMatrix.identity(self.ncols):
+            raise ValueError("matrix is not unimodular")
+        return u
+
+
+def _clear(v: list[int], echelon: Sequence[tuple[int, IntVec]]) -> list[int]:
+    """Reduce v in integers against the (pivot, row) pairs of ``_echelon``:
+    zero v at each pivot column in turn.  Every pivot entry is
+    positive, so the result is a positive multiple of v minus a vector of
+    the span, and a ray keeps its orientation."""
+    for p, row in echelon:
+        c = v[p]
+        if c:
+            a = row[p]
+            g = gcd(a, c)
+            a, c = a // g, c // g
+            v = [a * x - c * y for x, y in zip(v, row)]
+    return v
+
+
+def _echelon(rows: Iterable[Sequence[int]]) -> list[tuple[int, IntVec]]:
+    """Incremental integer echelon form of the rows' Q-span.
+
+    Each kept row is primitive, has a positive entry at its pivot column and
+    zeros at the pivot columns of the rows before it, so ``_clear`` applied
+    in this order zeroes every pivot column.
+    """
+    out: list[tuple[int, IntVec]] = []
+    for r in rows:
+        w = _clear(list(r), out)
+        p = next((j for j, x in enumerate(w) if x), None)
+        if p is not None:
+            out.append((p, primitive(w if w[p] > 0 else [-x for x in w])))
+    return out
 
 
 def rank_of_rows(rows: Sequence[Sequence[int]]) -> int:
-    """Rank of a list of integer row vectors (exact Gaussian elimination)."""
-    work = [[Fraction(x) for x in r] for r in rows if not is_zero_vec(r)]
-    rank = 0
-    ncols = len(work[0]) if work else 0
-    col = 0
-    while rank < len(work) and col < ncols:
-        piv = next((i for i in range(rank, len(work)) if work[i][col] != 0), None)
-        if piv is None:
-            col += 1
-            continue
-        work[rank], work[piv] = work[piv], work[rank]
-        for i in range(rank + 1, len(work)):
-            if work[i][col] != 0:
-                f = work[i][col] / work[rank][col]
-                work[i] = [x - f * y for x, y in zip(work[i], work[rank])]
-        rank += 1
-        col += 1
-    return rank
+    """Rank of a list of integer row vectors."""
+    return len(_echelon(rows))
 
 
 def in_rational_span(v: Sequence[int], rows: Sequence[Sequence[int]]) -> bool:
     """Is v in the Q-span of the given rows?"""
-    if is_zero_vec(v):
-        return True
-    base = [r for r in rows if not is_zero_vec(r)]
-    return rank_of_rows(list(base) + [tuple(v)]) == rank_of_rows(base)
+    return is_zero_vec(_clear(list(v), _echelon(rows)))
 
 
 def reduce_mod_span(v: Sequence[int], echelon_rows: Sequence[Sequence[int]]) -> IntVec:
     """Canonical primitive representative of the ray v modulo the Q-span of
-    the given rows (which must be in row echelon / HNF order).
+    the given rows (for rows in row echelon / HNF order, the pivots are the
+    rows' own leading columns).
 
     Returns the zero vector when v lies in the span.  The representative has
     zeros in every pivot column, so it is unique up to positive scaling, and
     primitivity pins the scale.
     """
-    work = [Fraction(x) for x in v]
-    for row in echelon_rows:
-        p = next((j for j, x in enumerate(row) if x != 0), None)
-        if p is None:
-            continue
-        if work[p] != 0:
-            f = work[p] / row[p]
-            work = [x - f * y for x, y in zip(work, row)]
-    if all(x == 0 for x in work):
-        return tuple(0 for _ in v)
-    return primitive_fraction_vector(work)
+    return primitive(_clear(list(v), _echelon(echelon_rows)))
 
 
 # ---------------------------------------------------------------------------
@@ -474,17 +457,20 @@ class Sublattice:
             raise ValueError("ambient ranks differ")
         return Sublattice.from_rows(self.ambient, self.basis + other.basis)
 
-    def contains(self, v: Sequence[int]) -> bool:
-        """Integral membership: v in the Z-span of the basis."""
+    def reduce(self, v: Sequence[int]) -> IntVec:
+        """Canonical representative of v modulo the lattice: floor division
+        by each HNF pivot leaves the pivot columns in [0, pivot)."""
         work = list(vec(v))
         for row in self.basis:
             p = next(j for j, x in enumerate(row) if x != 0)
-            if work[p] % row[p] != 0:
-                return False
             q = work[p] // row[p]
             if q:
                 work = [x - q * y for x, y in zip(work, row)]
-        return is_zero_vec(work)
+        return tuple(work)
+
+    def contains(self, v: Sequence[int]) -> bool:
+        """Integral membership: v in the Z-span of the basis."""
+        return is_zero_vec(self.reduce(v))
 
     def contains_rational(self, v: Sequence[int]) -> bool:
         """Membership of v in the Q-span of the basis."""
@@ -520,14 +506,11 @@ class Sublattice:
         return IntMatrix(tuple(v.column(l) for l in range(self.rank, self.ambient)),
                          self.ambient)
 
-    def lift_from_quotient(self, cbar: Sequence[int]) -> IntVec:
-        (_, w) = self._quotient_data()
-        out = [0] * self.ambient
-        for l, c in enumerate(cbar):
-            row = w.rows[self.rank + l]
-            for i in range(self.ambient):
-                out[i] += c * row[i]
-        return tuple(out)
+    def lift_matrix(self) -> IntMatrix:
+        """n x (n - rank) matrix whose columns lift the unit vectors of
+        Z^n / L to Z^n (a section of ``quotient_matrix``)."""
+        _, w = self._quotient_data()
+        return IntMatrix(w.rows[self.rank:], self.ambient).transpose()
 
     def coset_reduce(self, t: Sequence[Fraction]) -> FracVec:
         """Canonical representative of t modulo the subtorus with cocharacter

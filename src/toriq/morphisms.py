@@ -46,16 +46,6 @@ class PartialCover(ValueError):
         )
 
 
-def _lift_matrix(lat: Sublattice) -> IntMatrix:
-    """n x (n - rank) matrix whose columns lift the quotient unit vectors."""
-    n = lat.ambient
-    q = n - lat.rank
-    cols = [lat.lift_from_quotient(tuple(1 if i == l else 0 for i in range(q)))
-            for l in range(q)]
-    rows = tuple(tuple(col[i] for col in cols) for i in range(n))
-    return IntMatrix(rows, q)
-
-
 def _minimal_face_containing(chart: Cone, sub: Cone) -> Cone:
     candidates = [f for f in chart.faces() if f.contains_cone(sub)]
     if not candidates:
@@ -169,10 +159,10 @@ class ToricMorphism:
         src = system_view(self.source)
         orbit = sigma if isinstance(sigma, OrbitIndex) else src.orbit_of_cone(sigma)
         tgt_orbit = self.orbit_assignment[orbit]
-        lift = _lift_matrix(orbit.cone.span_lattice)
         tgt_span = tgt_orbit.cone.span_lattice
         if tgt_span.rank == tgt_span.ambient:
             return tgt_orbit, True
+        lift = orbit.cone.span_lattice.lift_matrix()
         induced = tgt_span.quotient_matrix() @ self.matrix @ lift
         factors = invariant_factors(induced)
         covered = len(factors) == induced.nrows and all(f == 1 for f in factors)

@@ -139,10 +139,7 @@ def load_scene(source) -> Scene:
         scene.lattices[name] = r
 
     for name, spec in _section(doc, "cones").items():
-        lat = _require(spec, "lattice", name)
-        if lat not in scene.lattices:
-            raise SceneValidationError(name, f"unknown lattice {lat!r}")
-        rank = scene.lattices[lat]
+        rank = _lattice_rank(scene, _require(spec, "lattice", name), name)
         gens_raw = spec.get("generators", [])
         gens = [_int_vector(g, f"cone {name}") for g in gens_raw]
         for g in gens:
@@ -153,8 +150,9 @@ def load_scene(source) -> Scene:
         scene.cones[name] = Cone.from_generators(gens, rank)
 
     for name, spec in _section(doc, "fans").items():
-        cone_names = _require(spec, "maximal_cones", name)
+        cone_names = _names(_require(spec, "maximal_cones", name), f"fan {name}: maximal_cones")
         cones = [scene.cone(c) for c in cone_names]
+        _check_declared_lattice(scene, spec, name, cone_names, cones)
         try:
             scene.fans[name] = Fan(cones)
         except FanViolation as exc:
@@ -169,15 +167,23 @@ def load_scene(source) -> Scene:
     for name, spec in _section(doc, "systems").items():
         if name in scene.fans:
             raise SceneValidationError(name, "name already used by a fan")
-        chart_names = _require(spec, "charts", name)
+        chart_names = _names(_require(spec, "charts", name), f"system {name}: charts")
         charts = [scene.cone(c) for c in chart_names]
+        _check_declared_lattice(scene, spec, name, chart_names, charts)
         gluing = {}
-        for entry in spec.get("gluing", []):
-            pair = entry.get("charts")
+        entries = spec.get("gluing", [])
+        if not isinstance(entries, list):
+            raise SceneParseError(f"system {name}: gluing must be a list")
+        for entry in entries:
+            pair = entry.get("charts") if isinstance(entry, dict) else None
             if not isinstance(pair, list) or len(pair) != 2:
                 raise SceneParseError(f"system {name}: gluing entry needs two charts")
             idx = []
             for ref in pair:
+                if isinstance(ref, bool) or not isinstance(ref, (int, str)):
+                    raise SceneParseError(
+                        f"system {name}: chart reference {ref!r} must be an index or a name"
+                    )
                 if isinstance(ref, int):
                     if not 0 <= ref < len(charts):
                         raise SceneValidationError(name, f"chart index {ref} out of range")
@@ -202,16 +208,14 @@ def load_scene(source) -> Scene:
     for name, spec in _section(doc, "maps").items():
         dom = _require(spec, "domain", name)
         cod = _require(spec, "codomain", name)
-        for lat in (dom, cod):
-            if lat not in scene.lattices:
-                raise SceneValidationError(name, f"unknown lattice {lat!r}")
+        ncols = _lattice_rank(scene, dom, name)
+        nrows = _lattice_rank(scene, cod, name)
         rows = [_int_vector(r, f"map {name}") for r in _require(spec, "matrix", name)]
-        expected = (scene.lattices[cod], scene.lattices[dom])
-        if len(rows) != expected[0] or any(len(r) != expected[1] for r in rows):
+        if len(rows) != nrows or any(len(r) != ncols for r in rows):
             raise SceneValidationError(
-                name, f"matrix must be {expected[0]}x{expected[1]} for {cod} <- {dom}"
+                name, f"matrix must be {nrows}x{ncols} for {cod} <- {dom}"
             )
-        scene.maps[name] = IntMatrix(rows, expected[1])
+        scene.maps[name] = IntMatrix(rows, ncols)
 
     for name, spec in _section(doc, "morphisms").items():
         map_name = _require(spec, "map", name)
@@ -232,7 +236,10 @@ def load_scene(source) -> Scene:
         orbit_spec = _require(spec, "orbit", name)
         try:
             orbit = _resolve_orbit(scene, sys, orbit_spec, name)
-            coset = [parse_rational(x, f"point {name}") for x in _require(spec, "coset", name)]
+            coset_raw = _require(spec, "coset", name)
+            if not isinstance(coset_raw, list):
+                raise SceneParseError(f"point {name}: coset must be a list")
+            coset = [parse_rational(x, f"point {name}") for x in coset_raw]
             if len(coset) != sys.rank:
                 raise SceneValidationError(name, "coset length differs from the rank")
             scene.points[name] = OrbitPoint.make(space, orbit, TorusElement(coset))
@@ -252,6 +259,8 @@ def _resolve_orbit(scene: Scene, sys: FanSystem, spec, entity: str) -> OrbitInde
         return sys.orbit_of_cone(scene.cone(spec))
     if isinstance(spec, dict):
         chart_ref = _require(spec, "chart", entity)
+        if isinstance(chart_ref, bool) or not isinstance(chart_ref, (int, str)):
+            raise SceneParseError(f"point {entity}: chart must be an index or a cone name")
         face = scene.cone(_require(spec, "face", entity))
         if isinstance(chart_ref, int):
             chart_id = chart_ref
@@ -265,6 +274,32 @@ def _resolve_orbit(scene: Scene, sys: FanSystem, spec, entity: str) -> OrbitInde
             chart_id = matches[0]
         return sys.orbit(chart_id, face)
     raise SceneParseError(f"point {entity}: orbit must be a cone name or a chart/face object")
+
+
+def _lattice_rank(scene: Scene, lat, entity: str) -> int:
+    if not isinstance(lat, str) or lat not in scene.lattices:
+        raise SceneValidationError(entity, f"unknown lattice {lat!r}")
+    return scene.lattices[lat]
+
+
+def _check_declared_lattice(scene: Scene, spec: dict, entity: str, names, cones) -> None:
+    """A fan's or system's optional ``lattice`` must match its cones' rank."""
+    if "lattice" not in spec:
+        return
+    rank = _lattice_rank(scene, spec["lattice"], entity)
+    for cone_name, cone in zip(names, cones):
+        if cone.ambient != rank:
+            raise SceneValidationError(
+                entity,
+                f"cone {cone_name!r} has rank {cone.ambient}, "
+                f"but lattice {spec['lattice']!r} has rank {rank}",
+            )
+
+
+def _names(value, context: str) -> list[str]:
+    if not isinstance(value, list) or not all(isinstance(x, str) for x in value):
+        raise SceneParseError(f"{context}: expected a list of names")
+    return value
 
 
 def _section(doc: dict, key: str) -> dict:

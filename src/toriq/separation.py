@@ -85,25 +85,12 @@ def invariance_check(weight: Sequence[int], pmat: IntMatrix) -> bool:
 
 
 @dataclass(frozen=True)
-class FamilyIdentification:
-    """Same-parameter identification of two translated orbit families:
-    for every torus element t, (a, t) is glued to (b, t)."""
-
-    a: OrbitIndex
-    b: OrbitIndex
-
-
-@dataclass(frozen=True)
 class MergeEvent:
     """One effective application of a closure rule."""
 
     vector: IntVec
     source_orbits: tuple[OrbitIndex, ...]
     limit_orbits: tuple[OrbitIndex, ...]
-
-    def pairs(self) -> tuple[FamilyIdentification, ...]:
-        first = self.limit_orbits[0]
-        return tuple(FamilyIdentification(first, o) for o in self.limit_orbits[1:])
 
 
 @dataclass(frozen=True)

@@ -10,11 +10,14 @@ from toriq.intlinalg import (
     NoRationalPoint,
     Sublattice,
     apply_exponent_matrix,
+    dot,
     hermite_normal_form,
+    in_rational_span,
     integer_nth_root,
     invariant_factors,
     kernel_saturated,
     monomial_value,
+    rank_of_rows,
     reduce_mod_span,
     saturated_preimage,
     smith_normal_form,
@@ -232,6 +235,67 @@ def test_reduce_mod_span():
     basis = ((1, -1, 0),)
     assert reduce_mod_span((1, 0, 0), basis) == (0, 1, 0)
     assert reduce_mod_span((2, -2, 0), basis) == (0, 0, 0)
+
+
+def test_rank_and_span_against_nullspace_oracle():
+    rng = random.Random(202)
+    for _ in range(150):
+        m = random_matrix(rng)
+        kernel = rational_nullspace(list(m.rows), m.ncols)
+        assert rank_of_rows(m.rows) == m.ncols - len(kernel)
+        combo = [0] * m.ncols
+        for row in m.rows:
+            c = rng.randint(-3, 3)
+            combo = [x + c * y for x, y in zip(combo, row)]
+        assert in_rational_span(combo, m.rows)
+        v = tuple(rng.randint(-9, 9) for _ in range(m.ncols))
+        assert in_rational_span(v, m.rows) == all(dot(v, k) == 0 for k in kernel)
+
+
+def test_reduce_mod_span_negative_pivot_keeps_orientation():
+    # (1,1,1) - 1/2 (2,-1,-3) - 1/2 (0,0,5) = (0, 3/2, 0): the ray (0, 1, 0)
+    for first in ((2, -1, -3), (-2, 1, 3)):
+        assert reduce_mod_span((1, 1, 1), (first, (0, 0, 5))) == (0, 1, 0)
+    rng = random.Random(203)
+    for _ in range(100):
+        m = random_matrix(rng, max_dim=4)
+        h, _ = hermite_normal_form(m)
+        rows = [r for r in h.rows if any(r)]
+        flipped = [tuple(-x for x in r) if rng.random() < 0.5 else r for r in rows]
+        v = tuple(rng.randint(-9, 9) for _ in range(m.ncols))
+        assert reduce_mod_span(v, flipped) == reduce_mod_span(v, rows)
+
+
+def test_inverse_unimodular_rejects_determinant_two():
+    for m in (IntMatrix([[2, 0], [0, 1]]), IntMatrix([[1, 1], [1, -1]])):
+        assert abs(m.det()) == 2
+        with pytest.raises(ValueError, match="not unimodular"):
+            m.inverse_unimodular()
+
+
+def test_sublattice_contains_is_zero_reduction():
+    rng = random.Random(204)
+    for _ in range(100):
+        m = random_matrix(rng, max_dim=4, bound=5)
+        lat = Sublattice.from_rows(m.ncols, m.rows)
+        member = [0] * m.ncols
+        for b in lat.basis:
+            c = rng.randint(-4, 4)
+            member = [x + c * y for x, y in zip(member, b)]
+        v = tuple(rng.randint(-9, 9) for _ in range(m.ncols))
+        assert lat.contains(member) and lat.reduce(member) == (0,) * m.ncols
+        assert lat.contains(v) == (lat.reduce(v) == (0,) * m.ncols)
+        # the reduction is a canonical representative of the coset v + L
+        shifted = tuple(x + y for x, y in zip(v, member))
+        assert lat.reduce(shifted) == lat.reduce(v)
+        assert lat.contains(tuple(x - y for x, y in zip(v, lat.reduce(v))))
+
+
+def test_lift_matrix_is_a_section_of_the_quotient():
+    for rows in ([(1, 1, 0)], [(1, 0, 0), (0, 1, 0)], [(1, 2, 3)], [], IntMatrix.identity(3).rows):
+        lat = Sublattice.from_rows(3, rows).saturate()
+        q = 3 - lat.rank
+        assert (lat.quotient_matrix() @ lat.lift_matrix()) == IntMatrix.identity(q)
 
 
 # ---------------------------------------------------------------------------

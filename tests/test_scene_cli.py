@@ -1,4 +1,7 @@
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -315,3 +318,46 @@ def test_cli_verify_example_json_shape(capsys):
     assert code == 0
     assert record["result"]["passed"] is True
     assert len(record["result"]["checks"]) == 7
+
+
+def _bad_scene(section, entity, field, value):
+    doc = json.loads(json.dumps(SCENE))
+    doc[section][entity][field] = value
+    return doc
+
+
+@pytest.mark.parametrize(
+    "section, entity, field, value",
+    [
+        ("systems", "Ytilde", "gluing", [5]),
+        ("fans", "C3", "maximal_cones", "delta"),
+        ("systems", "Ytilde", "gluing", [{"charts": [0, True], "face": "zero3"}]),
+        ("points", "t235", "coset", "235"),
+    ],
+    ids=["gluing-int-entry", "maximal-cones-string", "bool-chart-index", "coset-string"],
+)
+def test_malformed_scene_fields_exit_2(tmp_path, section, entity, field, value):
+    doc = _bad_scene(section, entity, field, value)
+    with pytest.raises(SceneParseError, match=entity):
+        load_scene(doc)
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(doc))
+    src = Path(__file__).resolve().parent.parent / "src"
+    proc = subprocess.run(
+        [sys.executable, "-m", "toriq", "--scene", str(path), "identify", "--system", "Ytilde"],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": str(src)},
+    )
+    assert proc.returncode == 2
+    assert entity in proc.stderr
+    assert "Traceback" not in proc.stderr
+
+
+@pytest.mark.parametrize("section, entity", [("fans", "C3"), ("systems", "Ytilde")])
+def test_declared_lattice_must_match_cone_rank(section, entity):
+    doc = _bad_scene(section, entity, "lattice", "N4")
+    with pytest.raises(SceneValidationError) as err:
+        load_scene(doc)
+    assert err.value.entity == entity
+    assert "rank 3" in err.value.reason and "rank 4" in err.value.reason
