@@ -10,7 +10,8 @@ and hashing structural.
 Two description passes are run per cone: generators -> inequalities gives
 the facet normals (these are the canonical extreme rays of the dual cone),
 and inequalities -> generators gives the canonical rays.  Duality is then a
-pure swap of the stored data.
+pure swap of the stored data.  Faces are intersections of facet incidence
+sets (Kaibel-Pfetsch), so each distinct face is built once.
 """
 
 from __future__ import annotations
@@ -277,20 +278,22 @@ class Cone:
         return Cone.from_generators(gens, self.ambient)
 
     def faces(self) -> tuple["Cone", ...]:
-        """All faces of a pointed cone, ordered by (dim, generators)."""
+        """All faces of a pointed cone, ordered by (dim, generators).
+
+        A face is an intersection of facet incidence sets (the rays a facet
+        normal vanishes on); one cone is built per distinct ray set.
+        """
         if not self.is_pointed:
             raise ValueError("face enumeration requires a pointed cone")
         cached = getattr(self, "_faces", None)
         if cached is not None:
             return cached
-        found: dict = {}
-        normals = self.facet_normals
-        for mask in range(1 << len(normals)):
-            chosen = [normals[i] for i in range(len(normals)) if mask >> i & 1]
-            rays = [r for r in self.rays if all(dot(u, r) == 0 for u in chosen)]
-            face = Cone.from_generators(rays, self.ambient)
-            found[face.key()] = face
-        out = tuple(sorted(found.values(), key=lambda c: (c.dim, c.rays)))
+        ray_sets = {frozenset(self.rays)}
+        for u in self.facet_normals:
+            incident = {r for r in self.rays if dot(u, r) == 0}
+            ray_sets |= {s & incident for s in ray_sets}
+        found = [Cone.from_generators(s, self.ambient) for s in ray_sets]
+        out = tuple(sorted(found, key=lambda c: (c.dim, c.rays)))
         object.__setattr__(self, "_faces", out)
         return out
 

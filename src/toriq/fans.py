@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from typing import Iterable, Mapping, Sequence
 
 from .cones import Cone
-from .intlinalg import vec
+from .intlinalg import IntVec, vec
 
 
 class FanViolation(ValueError):
@@ -140,7 +140,7 @@ class FanSystem:
         classes: dict[int, list[int]] = {}
         for idx in range(len(pairs)):
             classes.setdefault(find(idx), []).append(idx)
-        self._rep_of_pair: dict[tuple[int, tuple], OrbitIndex] = {}
+        self._rep_of_pair: dict[tuple[int, tuple[IntVec, ...]], OrbitIndex] = {}
         self._realizations: dict[OrbitIndex, tuple[tuple[int, Cone], ...]] = {}
         orbit_list = []
         for members in classes.values():
@@ -153,17 +153,23 @@ class FanSystem:
             )
             self._realizations[rep] = reals
             for ix in members:
-                self._rep_of_pair[(pairs[ix][0], pairs[ix][1].key())] = rep
+                self._rep_of_pair[(pairs[ix][0], pairs[ix][1].rays)] = rep
         self._orbits = tuple(sorted(orbit_list, key=OrbitIndex.sort_key))
 
     # -- orbit bookkeeping ---------------------------------------------------
 
     def orbit(self, chart: int, face: Cone) -> OrbitIndex:
         """Canonical orbit index of a face of the given chart."""
-        key = (chart, face.key())
-        if key not in self._rep_of_pair:
+        if face.ambient != self.rank or not face.is_pointed:
             raise ValueError(f"cone is not a face of chart {chart}")
-        return self._rep_of_pair[key]
+        return self.orbit_of_rays(chart, face.rays)
+
+    def orbit_of_rays(self, chart: int, rays: Sequence[IntVec]) -> OrbitIndex:
+        """Orbit of the chart face spanned by the given (sorted) chart rays."""
+        rep = self._rep_of_pair.get((chart, tuple(rays)))
+        if rep is None:
+            raise ValueError(f"cone is not a face of chart {chart}")
+        return rep
 
     def orbits(self) -> tuple[OrbitIndex, ...]:
         return self._orbits

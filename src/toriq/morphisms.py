@@ -237,35 +237,29 @@ def orbit_limit_targets(
     In a chart sigma containing the orbit's cone gamma, the limit exists iff
     v pairs nonnegatively with the dual face sigma^vee meet gamma^perp; the
     limit orbit is cut out by the rays of that dual face orthogonal to v.
+    The dual face is read off the chart (its facet normals vanishing on gamma,
+    lineality sigma^perp) and the limit orbit looked up by its rays, so no
+    cone is built.  ``forced_identifications`` tabulates the results once.
     """
     v = vec(v)
     sys = system_view(space)
     if len(v) != sys.rank:
         raise ValueError("vector rank mismatch")
-    cache: dict = getattr(sys, "_dual_face_cache", None)
-    if cache is None:
-        cache = {}
-        sys._dual_face_cache = cache
     out: dict[OrbitIndex, None] = {}
     for chart_id, _face in sys.realizations(orbit):
         chart = sys.charts[chart_id]
-        cache_key = (chart_id, orbit.cone.key())
-        dual_face = cache.get(cache_key)
-        if dual_face is None:
-            perp = Cone.from_inequalities([], orbit.cone.rays, sys.rank)
-            dual_face = chart.dual().intersect(perp)
-            cache[cache_key] = dual_face
-        if any(dot(l, v) != 0 for l in dual_face.lineality.basis):
+        if any(dot(l, v) != 0 for l in chart.span_perp.basis):
             continue
-        pairings = [dot(r, v) for r in dual_face.rays]
+        normals = [
+            u for u in chart.facet_normals
+            if all(dot(u, r) == 0 for r in orbit.cone.rays)
+        ]
+        pairings = [dot(u, v) for u in normals]
         if any(x < 0 for x in pairings):
             continue
-        tight = [r for r, x in zip(dual_face.rays, pairings) if x == 0]
-        rays1 = [
-            r for r in chart.rays if all(dot(u, r) == 0 for u in tight)
-        ]
-        gamma1 = Cone.from_generators(rays1, sys.rank)
-        out[sys.orbit(chart_id, gamma1)] = None
+        tight = [u for u, x in zip(normals, pairings) if x == 0]
+        rays1 = [r for r in chart.rays if all(dot(u, r) == 0 for u in tight)]
+        out[sys.orbit_of_rays(chart_id, rays1)] = None
     return tuple(sorted(out, key=OrbitIndex.sort_key))
 
 

@@ -60,9 +60,7 @@ def parse_rational(value, context: str = "rational") -> Fraction:
 
 
 def _int_vector(values, context: str) -> IntVec:
-    if not isinstance(values, list):
-        raise SceneParseError(f"{context}: expected a list")
-    return tuple(parse_integer(x, context) for x in values)
+    return tuple(parse_integer(x, context) for x in _list(values, context))
 
 
 @dataclass
@@ -140,7 +138,7 @@ def load_scene(source) -> Scene:
 
     for name, spec in _section(doc, "cones").items():
         rank = _lattice_rank(scene, _require(spec, "lattice", name), name)
-        gens_raw = spec.get("generators", [])
+        gens_raw = _list(spec.get("generators", []), f"cone {name}: generators")
         gens = [_int_vector(g, f"cone {name}") for g in gens_raw]
         for g in gens:
             if len(g) != rank:
@@ -171,10 +169,7 @@ def load_scene(source) -> Scene:
         charts = [scene.cone(c) for c in chart_names]
         _check_declared_lattice(scene, spec, name, chart_names, charts)
         gluing = {}
-        entries = spec.get("gluing", [])
-        if not isinstance(entries, list):
-            raise SceneParseError(f"system {name}: gluing must be a list")
-        for entry in entries:
+        for entry in _list(spec.get("gluing", []), f"system {name}: gluing"):
             pair = entry.get("charts") if isinstance(entry, dict) else None
             if not isinstance(pair, list) or len(pair) != 2:
                 raise SceneParseError(f"system {name}: gluing entry needs two charts")
@@ -196,7 +191,7 @@ def load_scene(source) -> Scene:
                             name, f"chart name {ref!r} is ambiguous; use indices"
                         )
                     idx.append(chart_names.index(ref))
-            face = scene.cone(_require(entry, "face", name))
+            face = scene.cone(_ref(entry, "face", f"system {name}"))
             gluing[(idx[0], idx[1])] = face
         try:
             scene.systems[name] = FanSystem(charts, gluing)
@@ -210,7 +205,8 @@ def load_scene(source) -> Scene:
         cod = _require(spec, "codomain", name)
         ncols = _lattice_rank(scene, dom, name)
         nrows = _lattice_rank(scene, cod, name)
-        rows = [_int_vector(r, f"map {name}") for r in _require(spec, "matrix", name)]
+        matrix = _list(_require(spec, "matrix", name), f"map {name}: matrix")
+        rows = [_int_vector(r, f"map {name}") for r in matrix]
         if len(rows) != nrows or any(len(r) != ncols for r in rows):
             raise SceneValidationError(
                 name, f"matrix must be {nrows}x{ncols} for {cod} <- {dom}"
@@ -218,11 +214,11 @@ def load_scene(source) -> Scene:
         scene.maps[name] = IntMatrix(rows, ncols)
 
     for name, spec in _section(doc, "morphisms").items():
-        map_name = _require(spec, "map", name)
+        map_name = _ref(spec, "map", f"morphism {name}")
         if map_name not in scene.maps:
             raise SceneValidationError(name, f"unknown map {map_name!r}")
-        source = scene.space(_require(spec, "source", name))
-        target = scene.space(_require(spec, "target", name))
+        source = scene.space(_ref(spec, "source", f"morphism {name}"))
+        target = scene.space(_ref(spec, "target", f"morphism {name}"))
         try:
             scene.morphisms[name] = toric_morphism(scene.maps[map_name], source, target)
         except IncompatibleMorphism as exc:
@@ -231,14 +227,12 @@ def load_scene(source) -> Scene:
             raise SceneValidationError(name, str(exc)) from None
 
     for name, spec in _section(doc, "points").items():
-        space = scene.space(_require(spec, "space", name))
+        space = scene.space(_ref(spec, "space", f"point {name}"))
         sys = system_view(space)
         orbit_spec = _require(spec, "orbit", name)
         try:
             orbit = _resolve_orbit(scene, sys, orbit_spec, name)
-            coset_raw = _require(spec, "coset", name)
-            if not isinstance(coset_raw, list):
-                raise SceneParseError(f"point {name}: coset must be a list")
+            coset_raw = _list(_require(spec, "coset", name), f"point {name}: coset")
             coset = [parse_rational(x, f"point {name}") for x in coset_raw]
             if len(coset) != sys.rank:
                 raise SceneValidationError(name, "coset length differs from the rank")
@@ -261,7 +255,7 @@ def _resolve_orbit(scene: Scene, sys: FanSystem, spec, entity: str) -> OrbitInde
         chart_ref = _require(spec, "chart", entity)
         if isinstance(chart_ref, bool) or not isinstance(chart_ref, (int, str)):
             raise SceneParseError(f"point {entity}: chart must be an index or a cone name")
-        face = scene.cone(_require(spec, "face", entity))
+        face = scene.cone(_ref(spec, "face", f"point {entity}"))
         if isinstance(chart_ref, int):
             chart_id = chart_ref
         else:
@@ -299,6 +293,20 @@ def _check_declared_lattice(scene: Scene, spec: dict, entity: str, names, cones)
 def _names(value, context: str) -> list[str]:
     if not isinstance(value, list) or not all(isinstance(x, str) for x in value):
         raise SceneParseError(f"{context}: expected a list of names")
+    return value
+
+
+def _list(value, context: str) -> list:
+    if not isinstance(value, list):
+        raise SceneParseError(f"{context}: expected a list")
+    return value
+
+
+def _ref(spec: dict, key: str, entity: str) -> str:
+    """A field that names another entity of the scene."""
+    value = _require(spec, key, entity)
+    if not isinstance(value, str):
+        raise SceneParseError(f"{entity}: {key} must be a name, got {value!r}")
     return value
 
 

@@ -139,66 +139,54 @@ def _test_vectors(system: FanSystem) -> tuple[IntVec, ...]:
 
 def forced_identifications(system: FanSystem) -> IdentificationPartition:
     """Fixpoint of the closure rules, starting from singleton classes with
-    the orbit isotropy lattices.  Deterministic: classes are visited by
-    their smallest orbit, vectors in lexicographic order."""
+    the orbit isotropy lattices.
+
+    The limit orbits of an (orbit, v) pair do not depend on the classes, so
+    they are tabulated once.  Each sweep visits the classes by their smallest
+    orbit and the vectors in lexicographic order, which fixes the events.  A
+    step with one target class whose lattice already contains the source
+    class's lattice changes nothing and is skipped; every other step merges
+    classes or grows a lattice, and is recorded as an event.
+    """
     orbits = system.orbits()
-    parent: dict[OrbitIndex, OrbitIndex] = {o: o for o in orbits}
-
-    def find(o: OrbitIndex) -> OrbitIndex:
-        while parent[o] != o:
-            parent[o] = parent[parent[o]]
-            o = parent[o]
-        return o
-
-    lattice: dict[OrbitIndex, Sublattice] = {
-        o: o.cone.span_lattice for o in orbits
-    }
     vectors = _test_vectors(system)
+    limits = {(o, v): orbit_limit_targets(system, o, v) for o in orbits for v in vectors}
+    root_of: dict[OrbitIndex, OrbitIndex] = {o: o for o in orbits}
+    members: dict[OrbitIndex, list[OrbitIndex]] = {o: [o] for o in orbits}
+    # a class lattice always contains the isotropy lattices of its members
+    lattice: dict[OrbitIndex, Sublattice] = {o: o.cone.span_lattice for o in orbits}
     events: list[MergeEvent] = []
     changed = True
     while changed:
         changed = False
-        for root in sorted(set(parent.values()), key=OrbitIndex.sort_key):
+        for root in sorted(members, key=OrbitIndex.sort_key):
             for v in vectors:
-                root = find(root)
-                members = tuple(
-                    sorted((o for o in orbits if find(o) == root), key=OrbitIndex.sort_key)
-                )
-                k_class = lattice[root]
-                limit_orbits = tuple(
-                    sorted(
-                        {g for o in members for g in orbit_limit_targets(system, o, v)},
-                        key=OrbitIndex.sort_key,
-                    )
-                )
+                root = root_of[root]
+                found = {g for o in members[root] for g in limits[o, v]}
+                limit_orbits = tuple(sorted(found, key=OrbitIndex.sort_key))
                 if not limit_orbits:
                     continue
-                target_roots = sorted(
-                    {find(g) for g in limit_orbits}, key=OrbitIndex.sort_key
-                )
-                new_root = target_roots[0]
+                targets = sorted({root_of[g] for g in limit_orbits}, key=OrbitIndex.sort_key)
+                new_root = targets[0]
+                k_class = lattice[root]
+                if len(targets) == 1 and all(map(lattice[new_root].contains, k_class.basis)):
+                    continue
                 merged = k_class
-                for r in target_roots:
+                for r in targets:
                     merged = merged + lattice[r]
-                for r in target_roots[1:]:
-                    parent[r] = new_root
-                for o in orbits:
-                    if find(o) == new_root:
-                        merged = merged + o.cone.span_lattice
                 merged = merged.saturate()
-                if len(target_roots) > 1 or merged != lattice[new_root]:
-                    changed = True
-                    events.append(MergeEvent(v, members, limit_orbits))
+                source = tuple(members[root])
+                for r in targets[1:]:
+                    for o in members[r]:
+                        root_of[o] = new_root
+                    members[new_root] += members.pop(r)
+                members[new_root].sort(key=OrbitIndex.sort_key)
                 lattice[new_root] = merged
-    groups: dict[OrbitIndex, list[OrbitIndex]] = {}
-    for o in orbits:
-        groups.setdefault(find(o), []).append(o)
+                events.append(MergeEvent(v, source, limit_orbits))
+                changed = True
     classes = tuple(
         sorted(
-            (
-                IdentClass(tuple(sorted(members, key=OrbitIndex.sort_key)), lattice[root])
-                for root, members in groups.items()
-            ),
+            (IdentClass(tuple(ms), lattice[root]) for root, ms in members.items()),
             key=lambda c: c.orbits[0].sort_key(),
         )
     )
@@ -406,14 +394,15 @@ def verify_example() -> VerificationReport:
     )
 
     # 7. classes versus fibers
-    match_ok, _ = partition_matches_fibers(part, kappa)
+    match_ok, report = partition_matches_fibers(part, kappa)
     checks.append(
         CheckResult(
             "quotient-comparison",
             match_ok,
             "identification classes coincide with the comparison fibers"
             if match_ok
-            else "classes and fibers disagree",
+            else "classes and fibers disagree at "
+            + next(label for label, good, _ in report if not good),
         )
     )
     return VerificationReport(tuple(checks))

@@ -12,8 +12,8 @@ from fractions import Fraction
 from math import gcd
 
 from toriq.cones import Cone
-from toriq.fans import Fan
-from toriq.intlinalg import IntMatrix
+from toriq.fans import Fan, OrbitIndex, system_view
+from toriq.intlinalg import IntMatrix, dot
 
 
 def minor_gcd(m: IntMatrix, k: int) -> int:
@@ -154,6 +154,41 @@ def decomposes_in_monoid(
             if all(abs(x) <= limit for x in nxt) and nxt not in seen:
                 stack.append(nxt)
     return False
+
+
+# ---------------------------------------------------------------------------
+# faces and limits with one double description pass per cone
+
+
+def brute_faces(c: Cone) -> tuple[Cone, ...]:
+    """Faces of a pointed cone: one cone built per subset of its facets."""
+    found = {}
+    normals = c.facet_normals
+    for mask in range(1 << len(normals)):
+        chosen = [u for i, u in enumerate(normals) if mask >> i & 1]
+        rays = [r for r in c.rays if all(dot(u, r) == 0 for u in chosen)]
+        face = Cone.from_generators(rays, c.ambient)
+        found[face.key()] = face
+    return tuple(sorted(found.values(), key=lambda f: (f.dim, f.rays)))
+
+
+def dd_limit_targets(space, orbit: OrbitIndex, v) -> tuple[OrbitIndex, ...]:
+    """Limit orbits of lambda_v on an orbit, from the dual face
+    sigma^vee meet gamma^perp built as a cone in every realizing chart."""
+    sys = system_view(space)
+    out = set()
+    for chart_id, _face in sys.realizations(orbit):
+        chart = sys.charts[chart_id]
+        perp = Cone.from_inequalities([], orbit.cone.rays, sys.rank)
+        dual_face = chart.dual().intersect(perp)
+        if any(dot(l, v) != 0 for l in dual_face.lineality.basis):
+            continue
+        if any(dot(r, v) < 0 for r in dual_face.rays):
+            continue
+        tight = [r for r in dual_face.rays if dot(r, v) == 0]
+        rays = [r for r in chart.rays if all(dot(u, r) == 0 for u in tight)]
+        out.add(sys.orbit(chart_id, Cone.from_generators(rays, sys.rank)))
+    return tuple(sorted(out, key=OrbitIndex.sort_key))
 
 
 # ---------------------------------------------------------------------------

@@ -15,7 +15,7 @@ from toriq.cones import (
 )
 from toriq.intlinalg import IntMatrix, dot
 
-from _oracles import box, brute_in_cone, decomposes_in_monoid, fm_inequalities, fm_contains, random_cone
+from _oracles import box, brute_faces, brute_in_cone, decomposes_in_monoid, fm_inequalities, fm_contains, random_cone
 
 E1, E2, E3 = (1, 0, 0), (0, 1, 0), (0, 0, 1)
 P = IntMatrix([[1, 0, 0, 1], [0, 1, 0, 1], [0, 0, 1, 0]])
@@ -177,6 +177,17 @@ def test_faces_ordering():
     fs = faces(delta())
     dims = [f.dim for f in fs]
     assert dims == sorted(dims)
+
+
+def test_faces_match_facet_subset_enumeration():
+    rng = random.Random(31)
+    checked = 0
+    for _ in range(200):
+        c = random_cone(rng)
+        if c.is_pointed:
+            assert c.faces() == brute_faces(c)
+            checked += 1
+    assert checked >= 50
 
 
 def test_faces_reject_lineality():

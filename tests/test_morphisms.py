@@ -17,11 +17,14 @@ from toriq.morphisms import (
     image_constructible,
     one_param_limits,
     orbit_image,
+    orbit_limit_targets,
     toric_morphism,
 )
 from toriq.points import OrbitPoint, TorusElement, act, distinguished_point, torus_point
 
-from _oracles import random_fan, random_point
+from toriq.separation import _test_vectors
+
+from _oracles import dd_limit_targets, random_fan, random_point
 
 
 def ray(*coords, rank=None):
@@ -223,6 +226,18 @@ def test_limit_uniqueness_on_random_fans():
             # a torus point has a limit exactly when v lies in the support
             assert bool(limits) == fan.support_contains(v)
         samples += 1
+
+
+def test_limit_targets_match_dual_face_oracle(ex):
+    rng = random.Random(54)
+    spaces = [random_fan(rng, max_rank=3) for _ in range(12)] + [ex.system]
+    for space in spaces:
+        sys = system_view(space)
+        vectors = list(_test_vectors(sys))
+        vectors += [tuple(rng.randint(-2, 2) for _ in range(sys.rank)) for _ in range(4)]
+        for orbit in sys.orbits():
+            for v in vectors:
+                assert orbit_limit_targets(space, orbit, v) == dd_limit_targets(space, orbit, v)
 
 
 def test_limit_morphism_compatibility(ex):

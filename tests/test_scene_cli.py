@@ -333,8 +333,17 @@ def _bad_scene(section, entity, field, value):
         ("fans", "C3", "maximal_cones", "delta"),
         ("systems", "Ytilde", "gluing", [{"charts": [0, True], "face": "zero3"}]),
         ("points", "t235", "coset", "235"),
+        ("cones", "tau1", "generators", 5),
+        ("morphisms", "pi", "map", ["P"]),
+        ("points", "t235", "space", ["Ytilde"]),
+        ("maps", "P", "matrix", 5),
+        ("systems", "Ytilde", "gluing", [{"charts": [0, 1], "face": ["zero3"]}]),
     ],
-    ids=["gluing-int-entry", "maximal-cones-string", "bool-chart-index", "coset-string"],
+    ids=[
+        "gluing-int-entry", "maximal-cones-string", "bool-chart-index", "coset-string",
+        "generators-int", "morphism-map-list", "point-space-list", "matrix-int",
+        "gluing-face-list",
+    ],
 )
 def test_malformed_scene_fields_exit_2(tmp_path, section, entity, field, value):
     doc = _bad_scene(section, entity, field, value)

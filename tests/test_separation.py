@@ -248,6 +248,23 @@ def test_verify_example_passes():
     ]
 
 
+def test_verify_example_names_failed_class(monkeypatch):
+    import toriq.separation as sep
+
+    real = sep.forced_identifications
+
+    def tampered(system):
+        part = real(system)
+        first, *rest = part.classes
+        wrong = sep.IdentClass(first.orbits, Sublattice.full(system.rank))
+        return sep.IdentificationPartition(part.system, (wrong, *rest), part.events)
+
+    monkeypatch.setattr(sep, "forced_identifications", tampered)
+    check = verify_example().checks[-1]
+    assert check.name == "quotient-comparison" and not check.passed
+    assert check.detail == "classes and fibers disagree at class (chart 0, rays [])"
+
+
 def test_separated_variant_behaviour(ex):
     # a separated two-chart system: limits are unique, the partition is
     # trivial, and the comparison morphism is injective on orbits
@@ -305,3 +322,49 @@ def test_punctured_plane_quotient_end_to_end():
         x = TorusElement((Fraction(rng.randint(1, 9), rng.randint(1, 9)),
                           Fraction(rng.randint(1, 9), rng.randint(1, 9))))
         assert kappa.apply(pi_tilde.apply(x)) == pi.apply(x)
+
+
+# ---------------------------------------------------------------------------
+# the theorem on P^n charts glued along the torus only
+
+
+def torus_glued_projective_space(n):
+    rays = [tuple(int(i == j) for j in range(n)) for i in range(n)] + [(-1,) * n]
+    charts = [
+        Cone.from_generators([r for k, r in enumerate(rays) if k != skip], n)
+        for skip in range(n + 1)
+    ]
+    return build_fan_system(charts), build_fan(charts)
+
+
+@pytest.mark.parametrize("n, classes, events", [(2, 7, 3), (3, 15, 10), (4, 31, 25)])
+def test_partition_matches_fibers_on_torus_glued_projective_space(n, classes, events):
+    system, fan = torus_glued_projective_space(n)
+    part = forced_identifications(system)
+    assert (len(part.classes), len(part.events)) == (classes, events)
+    ok, report = partition_matches_fibers(part, comparison_morphism(system, fan))
+    assert ok, [entry for entry in report if not entry[1]]
+
+
+def test_event_order_on_torus_glued_p3():
+    system, _ = torus_glued_projective_space(3)
+    part = forced_identifications(system)
+    a, b, c, m = (1, 0, 0), (0, 1, 0), (0, 0, 1), (-1, -1, -1)
+    expected = [
+        ((-1, -1, -1), [(0, (m,)), (1, (m,)), (2, (m,))]),
+        ((-1, -1, 0), [(0, (m, c)), (1, (m, c))]),
+        ((-1, 0, -1), [(0, (m, b)), (2, (m, b))]),
+        ((0, -1, -1), [(1, (m, a)), (2, (m, a))]),
+        ((0, 0, 1), [(0, (c,)), (1, (c,)), (3, (c,))]),
+        ((0, 1, 0), [(0, (b,)), (2, (b,)), (3, (b,))]),
+        ((0, 1, 1), [(0, (c, b)), (3, (c, b))]),
+        ((1, 0, 0), [(1, (a,)), (2, (a,)), (3, (a,))]),
+        ((1, 0, 1), [(1, (c, a)), (3, (c, a))]),
+        ((1, 1, 0), [(2, (b, a)), (3, (b, a))]),
+    ]
+    torus = [(0, ())]
+    assert [
+        (e.vector, [(o.chart, o.cone.rays) for o in e.source_orbits],
+         [(o.chart, o.cone.rays) for o in e.limit_orbits])
+        for e in part.events
+    ] == [(v, torus, limits) for v, limits in expected]
