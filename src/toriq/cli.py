@@ -169,6 +169,11 @@ def _csv_ints(text: str) -> IntVec:
         raise UsageError(f"not a comma-separated integer vector: {text!r}") from None
 
 
+def _check_rank(arg: str, text: str, values, rank: int) -> None:
+    if len(values) != rank:
+        raise UsageError(f"{arg} {text!r} has rank {len(values)}, but the space has rank {rank}")
+
+
 def _parse_point(scene: Scene, space, text: str) -> OrbitPoint:
     """POINT := NAME (a scene point) | torus:c1,...  | CONE[@c1,...]
     | CHARTCONE/CONE[@c1,...]."""
@@ -180,8 +185,7 @@ def _parse_point(scene: Scene, space, text: str) -> OrbitPoint:
     sys = system_view(space)
     if text.startswith("torus:"):
         coords = [parse_rational(x.strip(), "point") for x in text[6:].split(",")]
-        if len(coords) != sys.rank:
-            raise UsageError("torus point has the wrong number of coordinates")
+        _check_rank("--point", text, coords, sys.rank)
         orbit = sys.orbit(0, Cone.zero(sys.rank))
         return OrbitPoint.make(space, orbit, TorusElement(coords))
     coset = None
@@ -190,6 +194,7 @@ def _parse_point(scene: Scene, space, text: str) -> OrbitPoint:
         coset = TorusElement(
             [parse_rational(x.strip(), "point") for x in coset_text.split(",")]
         )
+        _check_rank("--point", f"{text}@{coset_text}", coset.coords, sys.rank)
     if "/" in text:
         chart_name, _, face_name = text.partition("/")
         chart_cone = scene.cone(chart_name)
@@ -302,6 +307,7 @@ def _run(scene: Scene, args) -> tuple[dict, int]:
         if args.fan and not isinstance(space, Fan):
             raise UsageError(f"{name!r} is not a fan")
         v = _csv_ints(args.v)
+        _check_rank("--v", args.v, v, space.rank)
         p = _parse_point(scene, space, args.point)
         limits = one_param_limits(space, v, p)
         return {

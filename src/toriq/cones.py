@@ -7,11 +7,13 @@ sorted primitive extreme rays (reduced modulo the lineality space) together
 with the saturated HNF basis of the lineality lattice, which makes equality
 and hashing structural.
 
-Two description passes are run per cone: generators -> inequalities gives
-the facet normals (these are the canonical extreme rays of the dual cone),
-and inequalities -> generators gives the canonical rays.  Duality is then a
-pure swap of the stored data.  Faces are intersections of facet incidence
-sets (Kaibel-Pfetsch), so each distinct face is built once.
+A cone built from generators takes two description passes: generators ->
+inequalities gives the facet normals (these are the canonical extreme rays
+of the dual cone), and inequalities -> generators gives the canonical rays.
+Duality is then a pure swap of the stored data.  A face of a pointed cone is
+built from its ray set alone, with no description pass: its facets are read
+off the parent's facet normals.  The faces are the intersections of facet
+incidence sets (Kaibel-Pfetsch), so each distinct face is built once.
 """
 
 from __future__ import annotations
@@ -171,7 +173,7 @@ class Cone:
 
     @classmethod
     def zero(cls, rank: int) -> "Cone":
-        return cls.from_generators([], rank)
+        return cls(rank, (), Sublattice.zero(rank), (), Sublattice.full(rank))
 
     @classmethod
     def full(cls, rank: int) -> "Cone":
@@ -271,11 +273,28 @@ class Cone:
             for r in self.rays
             if all(dot(u, r) == 0 for u in tight_normals)
         ]
+        if self.is_pointed:
+            return self._face_of_rays(rays)
         gens = list(rays)
         for b in self.lineality.basis:
             gens.append(b)
             gens.append(vec_neg(b))
         return Cone.from_generators(gens, self.ambient)
+
+    def _face_of_rays(self, rays: Iterable[IntVec]) -> "Cone":
+        """The face of this pointed cone spanned by some of its rays, built
+        with no description pass.  A facet of the face is cut out by every
+        parent facet normal whose zero set on the rays has rank dim - 1."""
+        rays = tuple(sorted(rays))
+        span_perp = Sublattice.from_rows(self.ambient, rays).perp()
+        dim = self.ambient - span_perp.rank
+        normals = [
+            u for u in self.facet_normals
+            if rank_of_rows([r for r in rays if dot(u, r) == 0]) == dim - 1
+        ]
+        return Cone(
+            self.ambient, rays, self.lineality, _canonical_rays(normals, span_perp), span_perp
+        )
 
     def faces(self) -> tuple["Cone", ...]:
         """All faces of a pointed cone, ordered by (dim, generators).
@@ -292,7 +311,7 @@ class Cone:
         for u in self.facet_normals:
             incident = {r for r in self.rays if dot(u, r) == 0}
             ray_sets |= {s & incident for s in ray_sets}
-        found = [Cone.from_generators(s, self.ambient) for s in ray_sets]
+        found = [self._face_of_rays(s) for s in ray_sets]
         out = tuple(sorted(found, key=lambda c: (c.dim, c.rays)))
         object.__setattr__(self, "_faces", out)
         return out
@@ -306,6 +325,10 @@ class Cone:
             for u in other.facet_normals
             if all(dot(u, g) == 0 for g in self.generators())
         ]
+        if other.is_pointed:
+            return self.rays == tuple(
+                r for r in other.rays if all(dot(u, r) == 0 for u in tight)
+            )
         return other._face_from_tight(tight) == self
 
     def intersect(self, other: "Cone") -> "Cone":
@@ -384,6 +407,8 @@ def image_cone(p: IntMatrix, c: Cone) -> Cone:
     """The cone generated by the images of the generators under p."""
     if p.ncols != c.ambient:
         raise ValueError("matrix columns must match the cone's rank")
+    if p == IntMatrix.identity(c.ambient):
+        return c
     gens = [p.apply(g) for g in c.generators()]
     return Cone.from_generators(gens, p.nrows)
 

@@ -14,6 +14,7 @@ exactly when the face is contained in the gluing cone of the chart pair.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Iterable, Mapping, Sequence
 
 from .cones import Cone
@@ -85,29 +86,37 @@ class FanSystem:
         if gluing:
             raise GluingViolation(f"gluing refers to unknown chart pairs: {sorted(gluing)}")
         self.gluing = table
+        self._meets: dict[tuple[int, int], Cone] = {}
         self._check_transitive()
-        self.separated = all(
-            g == self.charts[i].intersect(self.charts[j])
-            and g.is_face_of(self.charts[i])
-            and g.is_face_of(self.charts[j])
-            for (i, j), g in table.items()
-        )
         self._build_orbits()
 
     def _check_transitive(self) -> None:
+        """Is g_ij meet g_jk, the face of chart j on their common rays, inside
+        g_ik?  The test is symmetric in i and k, and the first failing ordered
+        triple has i < k, so only those run."""
         m = len(self.charts)
         for i in range(m):
             for j in range(m):
-                for k in range(m):
-                    if len({i, j, k}) < 3:
+                for k in range(i + 1, m):
+                    if j in (i, k):
                         continue
-                    gij = self.gluing_cone(i, j)
-                    gjk = self.gluing_cone(j, k)
-                    gik = self.gluing_cone(i, k)
-                    if not gik.contains_cone(gij.intersect(gjk)):
+                    common = set(self.gluing_cone(i, j).rays) & set(self.gluing_cone(j, k).rays)
+                    if not all(map(self.gluing_cone(i, k).contains_point, common)):
                         raise GluingViolation(
                             f"gluing not transitive across charts {i}, {j}, {k}"
                         )
+
+    @cached_property
+    def separated(self) -> bool:
+        """Is every gluing cone the full intersection of its two charts?"""
+        return all(g == self.meet(i, j) for (i, j), g in self.gluing.items())
+
+    def meet(self, i: int, j: int) -> Cone:
+        """The intersection of charts i and j, computed once per pair."""
+        key = (min(i, j), max(i, j))
+        if key not in self._meets:
+            self._meets[key] = self.charts[i].intersect(self.charts[j])
+        return self._meets[key]
 
     def gluing_cone(self, i: int, j: int) -> Cone:
         if i == j:
@@ -250,11 +259,13 @@ class Fan:
                 raise ValueError("cones live in different ranks")
             if not c.is_pointed:
                 raise ValueError("fan cones must be pointed")
+        self._meets: dict[frozenset[Cone], Cone] = {}
         for i in range(len(cones)):
             for j in range(i + 1, len(cones)):
                 meet = cones[i].intersect(cones[j])
                 if not (meet.is_face_of(cones[i]) and meet.is_face_of(cones[j])):
                     raise FanViolation(i, j)
+                self._meets[frozenset((cones[i], cones[j]))] = meet
         maximal = [
             c
             for i, c in enumerate(cones)
@@ -306,11 +317,12 @@ class Fan:
         if self._system is None:
             charts = self.maximal_cones
             gluing = {
-                (i, j): charts[i].intersect(charts[j])
-                for i in range(len(charts))
-                for j in range(i + 1, len(charts))
+                (i, j): self._meets[frozenset((a, b))]
+                for i, a in enumerate(charts)
+                for j, b in enumerate(charts[i + 1:], i + 1)
             }
             self._system = FanSystem(charts, gluing, rank=self.rank)
+            self._system._meets.update(gluing)
         return self._system
 
     def orbit_of_cone(self, cone: Cone) -> OrbitIndex:

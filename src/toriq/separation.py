@@ -62,8 +62,7 @@ def project_prevariety(source: Fan, pmat: IntMatrix) -> tuple[FanSystem, ToricMo
     gluing = {}
     for i in range(len(charts)):
         for j in range(i + 1, len(charts)):
-            meet = source.maximal_cones[i].intersect(source.maximal_cones[j])
-            gluing[(i, j)] = image_cone(pmat, meet)
+            gluing[(i, j)] = image_cone(pmat, source.as_system().meet(i, j))
     system = FanSystem(charts, gluing)
     return system, toric_morphism(pmat, source, system)
 
@@ -126,10 +125,7 @@ def _test_vectors(system: FanSystem) -> tuple[IntVec, ...]:
         cones.extend(chart.faces())
     for i in range(len(system.charts)):
         for j in range(i + 1, len(system.charts)):
-            meet = system.charts[i].intersect(system.charts[j])
-            cones.append(meet)
-            if meet.is_pointed:
-                cones.extend(meet.faces())
+            cones.extend(system.meet(i, j).faces())
     out = set()
     for c in cones:
         if c.dim > 0:

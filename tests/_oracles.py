@@ -157,7 +157,7 @@ def decomposes_in_monoid(
 
 
 # ---------------------------------------------------------------------------
-# faces and limits with one double description pass per cone
+# faces, face tests, gluing checks and limits built with description passes
 
 
 def brute_faces(c: Cone) -> tuple[Cone, ...]:
@@ -170,6 +170,40 @@ def brute_faces(c: Cone) -> tuple[Cone, ...]:
         face = Cone.from_generators(rays, c.ambient)
         found[face.key()] = face
     return tuple(sorted(found.values(), key=lambda f: (f.dim, f.rays)))
+
+
+def dd_face_from_tight(c: Cone, tight) -> Cone:
+    """The face of c on which the given facet normals vanish, built from its
+    generators (rays and +/- lineality basis) by two description passes."""
+    gens = [r for r in c.rays if all(dot(u, r) == 0 for u in tight)]
+    for b in c.lineality.basis:
+        gens += [b, tuple(-x for x in b)]
+    return Cone.from_generators(gens, c.ambient)
+
+
+def dd_is_face_of(a: Cone, b: Cone) -> bool:
+    """Is a a face of b?  a must lie in b and equal the face of b cut out by
+    the normals of b that vanish on a, built by ``dd_face_from_tight``."""
+    if not b.contains_cone(a):
+        return False
+    tight = [u for u in b.facet_normals if all(dot(u, g) == 0 for g in a.generators())]
+    return dd_face_from_tight(b, tight) == a
+
+
+def dd_transitivity_failure(charts, gluing) -> str | None:
+    """The first ordered chart triple (i, j, k) whose gluing cones fail
+    g_ij meet g_jk inside g_ik, with one ``intersect`` per triple, as the
+    ``GluingViolation`` message; None when every triple passes.  Missing
+    pairs are glued along the zero cone."""
+    zero = Cone.zero(charts[0].ambient)
+
+    def g(i, j):
+        return gluing.get((min(i, j), max(i, j)), zero)
+
+    for i, j, k in itertools.permutations(range(len(charts)), 3):
+        if not g(i, k).contains_cone(g(i, j).intersect(g(j, k))):
+            return f"gluing not transitive across charts {i}, {j}, {k}"
+    return None
 
 
 def dd_limit_targets(space, orbit: OrbitIndex, v) -> tuple[OrbitIndex, ...]:

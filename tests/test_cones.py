@@ -15,7 +15,17 @@ from toriq.cones import (
 )
 from toriq.intlinalg import IntMatrix, dot
 
-from _oracles import box, brute_faces, brute_in_cone, decomposes_in_monoid, fm_inequalities, fm_contains, random_cone
+from _oracles import (
+    box,
+    brute_faces,
+    brute_in_cone,
+    dd_face_from_tight,
+    dd_is_face_of,
+    decomposes_in_monoid,
+    fm_contains,
+    fm_inequalities,
+    random_cone,
+)
 
 E1, E2, E3 = (1, 0, 0), (0, 1, 0), (0, 0, 1)
 P = IntMatrix([[1, 0, 0, 1], [0, 1, 0, 1], [0, 0, 1, 0]])
@@ -60,6 +70,11 @@ def test_zero_cone_from_empty_generators():
     c = cone_canonical([], 3)
     assert c.dim == 0 and c.rays == () and c.lineality.rank == 0
     assert c == Cone.zero(3)
+    for n in range(5):
+        z, c = Cone.zero(n), cone_canonical([], n)
+        assert (z.rays, z.lineality, z.facet_normals, z.span_perp) == (
+            c.rays, c.lineality, c.facet_normals, c.span_perp
+        )
 
 
 def test_non_extreme_interior_ray_dropped():
@@ -188,6 +203,98 @@ def test_faces_match_facet_subset_enumeration():
             assert c.faces() == brute_faces(c)
             checked += 1
     assert checked >= 50
+
+
+def _pointed_cones(seed, count):
+    """Pointed random cones of rank 2-5, simplicial or not."""
+    rng = random.Random(seed)
+    out = []
+    while len(out) < count:
+        c = random_cone(rng, max_rank=5)
+        if c.ambient >= 2 and c.is_pointed:
+            out.append(c)
+    return out
+
+
+def _with_line(rng, c):
+    """The cone c plus a random line, so it has lineality (or is not pointed)."""
+    line = tuple(rng.randint(-1, 1) for _ in range(c.ambient))
+    return Cone.from_generators(c.rays + (line, tuple(-x for x in line)), c.ambient)
+
+
+def _fields(c):
+    return (c.ambient, c.rays, c.lineality, c.facet_normals, c.span_perp)
+
+
+def test_faces_built_from_ray_sets_match_from_generators():
+    cones = _pointed_cones(41, 300)
+    assert sum(len(c.rays) > c.dim for c in cones) >= 30
+    checked = 0
+    for c in cones:
+        for f in c.faces():
+            assert _fields(f) == _fields(Cone.from_generators(f.rays, c.ambient))
+            checked += 1
+            loc = c.classify(f.relint_point())
+            if f == c:
+                assert loc.is_relint
+                continue
+            tight = [u for u in c.facet_normals if all(dot(u, r) == 0 for r in f.rays)]
+            assert _fields(loc.face) == _fields(dd_face_from_tight(c, tight)) == _fields(f)
+    assert checked >= 2000
+
+
+def test_classify_face_matches_dd_oracle():
+    rng = random.Random(42)
+    on_face = {True: 0, False: 0}
+    cones = [random_cone(rng, max_rank=4, entry_bound=3) for _ in range(200)]
+    cones += [_with_line(rng, c) for c in _pointed_cones(45, 200)]
+    for c in cones:
+        # a sum of some rays, moved along the lineality space
+        picked = rng.sample(c.rays, rng.randint(0, len(c.rays)))
+        moves = [tuple(rng.randint(-2, 2) * x for x in b) for b in c.lineality.basis]
+        v = tuple(map(sum, zip((0,) * c.ambient, *picked, *moves)))
+        loc = c.classify(v)
+        if loc.kind == "on_face":
+            tight = [u for u in c.facet_normals if dot(u, v) == 0]
+            assert _fields(loc.face) == _fields(dd_face_from_tight(c, tight))
+            on_face[c.is_pointed] += 1
+    assert on_face[True] >= 50 and on_face[False] >= 10
+
+
+def test_is_face_of_matches_dd_oracle():
+    rng = random.Random(43)
+    seen = {}
+
+    def check(kind, a, b):
+        got = a.is_face_of(b)
+        assert got == dd_is_face_of(a, b), (kind, a, b)
+        seen.setdefault(kind, set()).add(got)
+
+    for c in _pointed_cones(43, 60):
+        n = c.ambient
+        for f in c.faces():
+            check("face", f, c)
+            if f.dim >= 2:
+                p = f.relint_point()
+                check("contained", Cone.from_generators([p], n), c)
+                check("contained", Cone.from_generators([p, f.rays[0]], n), c)
+        other = Cone.from_generators(
+            [tuple(rng.randint(-3, 3) for _ in range(n)) for _ in range(3)], n
+        )
+        check("other", other, c)
+        check("other", c, other)
+    for c in (_with_line(rng, d) for d in _pointed_cones(44, 30)):
+        n = c.ambient
+        lines = [x for b in c.lineality.basis for x in (b, tuple(-y for y in b))]
+        check("lineality", c, c)
+        check("lineality", Cone.from_generators(lines, n), c)
+        for r in c.rays:
+            check("lineality", Cone.from_generators([r] + lines, n), c)
+            check("lineality", Cone.from_generators([r], n), c)
+    assert seen["face"] == {True}
+    assert seen["contained"] == {False}
+    assert seen["other"] == {True, False}
+    assert seen["lineality"] == {True, False}
 
 
 def test_faces_reject_lineality():

@@ -1,0 +1,70 @@
+"""How many double description (DD) passes the quotient check runs.
+
+Faces of a pointed cone are built from their ray sets, each chart-pair
+intersection is computed once, and the comparison morphism maps cones by
+the identity, so none of these steps may rebuild a cone.
+"""
+
+import pytest
+
+from toriq import cones
+from toriq.cones import Cone
+from toriq.fans import Fan, FanSystem
+from toriq.separation import comparison_morphism, forced_identifications
+
+
+@pytest.fixture
+def calls(monkeypatch):
+    counts = {"dd": 0, "intersect": 0}
+    dd, intersect = cones._double_description, Cone.intersect
+
+    def counting_dd(*args):
+        counts["dd"] += 1
+        return dd(*args)
+
+    def counting_intersect(self, other):
+        counts["intersect"] += 1
+        return intersect(self, other)
+
+    monkeypatch.setattr(cones, "_double_description", counting_dd)
+    monkeypatch.setattr(Cone, "intersect", counting_intersect)
+    return counts
+
+
+def projective_space_charts(n):
+    rays = [tuple(int(i == j) for j in range(n)) for i in range(n)] + [(-1,) * n]
+    return [
+        Cone.from_generators([r for k, r in enumerate(rays) if k != skip], n)
+        for skip in range(n + 1)
+    ]
+
+
+def test_faces_run_no_dd_pass(calls):
+    # a non-simplicial rank-4 cone over a square pyramid, and a simplicial one
+    pyramid = Cone.from_generators(
+        [(1, 1, 0, 1), (1, -1, 0, 1), (-1, 1, 0, 1), (-1, -1, 0, 1), (0, 0, 1, 1)], 4
+    )
+    simplex = projective_space_charts(4)[0]
+    calls["dd"] = 0
+    assert (len(pyramid.faces()), len(simplex.faces())) == (20, 16)
+    for f in pyramid.faces():
+        f.faces()
+    assert calls["dd"] == 0
+
+
+def test_fan_system_and_identifications_meet_each_chart_pair_once(calls):
+    charts = projective_space_charts(3)
+    calls.update(dd=0, intersect=0)
+    system = Fan(charts).as_system()
+    part = forced_identifications(system)
+    assert system.separated and len(part.classes) == 15
+    assert calls["intersect"] == 6
+
+
+def test_comparison_morphism_builds_no_cone(calls):
+    charts = projective_space_charts(3)
+    system, fan = FanSystem(charts), Fan(charts)
+    calls["dd"] = 0
+    kappa = comparison_morphism(system, fan)
+    assert len(kappa.orbit_assignment) == 29
+    assert calls["dd"] == 0

@@ -1,3 +1,4 @@
+import itertools
 import random
 
 import pytest
@@ -13,7 +14,7 @@ from toriq.fans import (
     minimal_cone_containing,
 )
 
-from _oracles import random_fan
+from _oracles import dd_transitivity_failure, random_fan
 
 E1, E2, E3 = (1, 0, 0), (0, 1, 0), (0, 0, 1)
 
@@ -118,6 +119,27 @@ def test_gluing_transitivity_check():
     zero = Cone.zero(1)
     with pytest.raises(GluingViolation):
         FanSystem([ray, ray, ray], {(0, 1): ray, (1, 2): ray, (0, 2): zero})
+
+
+def test_transitivity_check_matches_ordered_triple_oracle():
+    # P^3 charts glued along the full intersections of 1-3 chart pairs
+    rays = [E1, E2, E3, (-1, -1, -1)]
+    gens = [[r for r in rays if r != skip] for skip in rays]
+    charts = [cone(*g) for g in gens]
+    pairs = list(itertools.combinations(range(4), 2))
+    subsets = [c for k in (1, 2, 3) for c in itertools.combinations(pairs, k)]
+    accepted = 0
+    for chosen in subsets:
+        gluing = {(i, j): cone(*(r for r in gens[i] if r in gens[j])) for i, j in chosen}
+        expected = dd_transitivity_failure(charts, gluing)
+        if expected is None:
+            FanSystem(charts, gluing)
+            accepted += 1
+        else:
+            with pytest.raises(GluingViolation) as err:
+                FanSystem(charts, gluing)
+            assert str(err.value) == expected
+    assert (len(subsets), accepted) == (41, 13)
 
 
 def test_separated_system_to_fan_and_back(ex):

@@ -262,6 +262,27 @@ def test_cli_unknown_entity_exit_2(capsys):
     assert "error" in err
 
 
+@pytest.mark.parametrize(
+    "argv, arg, value",
+    [
+        (["fibers", "--morphism", "kappa", "--point", "tau1@2,3"], "--point", "tau1@2,3"),
+        (["limits", "--system", "Ytilde", "--v", "1,1", "--point", "tau1"], "--v", "1,1"),
+    ],
+    ids=["fibers-point", "limits-v"],
+)
+def test_cli_wrong_rank_argument_exit_2(argv, arg, value):
+    src = Path(__file__).resolve().parent.parent / "src"
+    proc = subprocess.run(
+        [sys.executable, "-m", "toriq", *argv],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": str(src)},
+    )
+    assert proc.returncode == 2
+    assert f"{arg} {value!r} has rank 2, but the space has rank 3" in proc.stderr
+    assert "Traceback" not in proc.stderr
+
+
 def test_cli_named_point_and_chart_syntax(capsys):
     code, out, _ = run_cli(
         capsys, "limits", "--system", "Ytilde", "--v", "0,0,1", "--point", "tau2/rho4@2,3,5"
