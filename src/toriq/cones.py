@@ -407,8 +407,6 @@ def image_cone(p: IntMatrix, c: Cone) -> Cone:
     """The cone generated by the images of the generators under p."""
     if p.ncols != c.ambient:
         raise ValueError("matrix columns must match the cone's rank")
-    if p == IntMatrix.identity(c.ambient):
-        return c
     gens = [p.apply(g) for g in c.generators()]
     return Cone.from_generators(gens, p.nrows)
 

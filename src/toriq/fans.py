@@ -150,6 +150,7 @@ class FanSystem:
         for idx in range(len(pairs)):
             classes.setdefault(find(idx), []).append(idx)
         self._rep_of_pair: dict[tuple[int, tuple[IntVec, ...]], OrbitIndex] = {}
+        self._orbits_of_rays: dict[tuple[IntVec, ...], set[OrbitIndex]] = {}
         self._realizations: dict[OrbitIndex, tuple[tuple[int, Cone], ...]] = {}
         orbit_list = []
         for members in classes.values():
@@ -163,6 +164,7 @@ class FanSystem:
             self._realizations[rep] = reals
             for ix in members:
                 self._rep_of_pair[(pairs[ix][0], pairs[ix][1].rays)] = rep
+                self._orbits_of_rays.setdefault(pairs[ix][1].rays, set()).add(rep)
         self._orbits = tuple(sorted(orbit_list, key=OrbitIndex.sort_key))
 
     # -- orbit bookkeeping ---------------------------------------------------
@@ -190,8 +192,8 @@ class FanSystem:
     def orbit_of_cone(self, cone: Cone) -> OrbitIndex:
         """The unique orbit whose cone equals the given one; error if absent
         or ambiguous (distinct unglued copies)."""
-        hits = {o for o in self._orbits for (i, f) in self._realizations[o]
-                if f == cone}
+        face = cone.ambient == self.rank and cone.is_pointed
+        hits = self._orbits_of_rays.get(cone.rays, set()) if face else set()
         if not hits:
             raise ValueError("no orbit with the given cone")
         if len(hits) > 1:

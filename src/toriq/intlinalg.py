@@ -484,12 +484,11 @@ class Sublattice:
         cached = getattr(self, "_qcache", None)
         if cached is not None:
             return cached
-        if not self.is_saturated():
-            raise ValueError("quotient structure requires a saturated lattice")
+        v = IntMatrix.identity(self.ambient)
         if self.basis:
-            _, _, v = smith_normal_form(self.matrix())
-        else:
-            v = IntMatrix.identity(self.ambient)
+            d, _, v = smith_normal_form(self.matrix())
+            if any(d.rows[i][i] != 1 for i in range(self.rank)):
+                raise ValueError("quotient structure requires a saturated lattice")
         w = v.inverse_unimodular()
         object.__setattr__(self, "_qcache", (v, w))
         return v, w
@@ -531,12 +530,14 @@ class Sublattice:
 def kernel_saturated(m: IntMatrix) -> Sublattice:
     """The saturated kernel lattice {v : m @ v == 0}."""
     d, _, v = smith_normal_form(m)
-    cols = []
-    for j in range(m.ncols):
-        dj = d.rows[j][j] if j < m.nrows else 0
-        if dj == 0:
-            cols.append(v.column(j))
-    return Sublattice.from_rows(m.ncols, cols)
+    return _snf_kernel(d, v)
+
+
+def _snf_kernel(d: IntMatrix, v: IntMatrix) -> Sublattice:
+    """The saturated kernel of m read off U @ m @ V == D: the columns of V
+    at the zero diagonal entries of D."""
+    cols = [v.column(j) for j in range(v.ncols) if j >= d.nrows or d.rows[j][j] == 0]
+    return Sublattice.from_rows(v.ncols, cols)
 
 
 def image_lattice(m: IntMatrix) -> Sublattice:
@@ -668,7 +669,7 @@ def solve_torus_equation(
         if root is _EVEN_NEGATIVE:
             return Inconsistent(f"equation w^{dj} = {p[j]} with even exponent")
         if root is None:
-            return NoRationalPoint(kernel_saturated(m), m, q)
+            return NoRationalPoint(_snf_kernel(d, v), m, q)
         w[j] = root
         if dj % 2 == 0:
             even_indices.append(j)
@@ -677,7 +678,7 @@ def solve_torus_equation(
         tuple(Fraction(-1 if v.rows[i][j] % 2 else 1) for i in range(m.ncols))
         for j in even_indices
     )
-    return CosetSolution(rep, kernel_saturated(m), torsion)
+    return CosetSolution(rep, _snf_kernel(d, v), torsion)
 
 
 # ---------------------------------------------------------------------------

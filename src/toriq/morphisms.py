@@ -12,11 +12,12 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
-from .cones import Cone, image_cone
+from .cones import Cone
 from .fans import Fan, FanSystem, OrbitIndex, system_view
 from .intlinalg import (
     Inconsistent,
     IntMatrix,
+    IntVec,
     NoRationalPoint,
     Sublattice,
     apply_exponent_matrix,
@@ -46,14 +47,6 @@ class PartialCover(ValueError):
         )
 
 
-def _minimal_face_containing(chart: Cone, sub: Cone) -> Cone:
-    candidates = [f for f in chart.faces() if f.contains_cone(sub)]
-    if not candidates:
-        raise ValueError("cone is not contained in the chart")
-    best = min(candidates, key=lambda c: (c.dim, c.rays))
-    return best
-
-
 class ToricMorphism:
     """A lattice map together with compatible source and target spaces."""
 
@@ -75,28 +68,26 @@ class ToricMorphism:
         tgt = system_view(target)
         self.chart_assignment: list[int] = []
         for chart in src.charts:
-            img = image_cone(matrix, chart)
+            images = [matrix.apply(g) for g in chart.generators()]
             pick = next(
-                (j for j, tc in enumerate(tgt.charts) if tc.contains_cone(img)), None
+                (j for j, tc in enumerate(tgt.charts) if all(map(tc.contains_point, images))),
+                None,
             )
             if pick is None:
                 raise IncompatibleMorphism(chart)
             self.chart_assignment.append(pick)
+        # the minimal target face containing the image of a source face is the
+        # one holding the image of its relative-interior point in its own
+        # relative interior: the rays on which the tight facet normals vanish
         self.orbit_assignment: dict[OrbitIndex, OrbitIndex] = {}
-        use_fan_lookup = isinstance(target, Fan)
         for orbit in src.orbits():
             assigned: OrbitIndex | None = None
             for i, face in src.realizations(orbit):
-                img = image_cone(matrix, face)
-                if use_fan_lookup:
-                    gamma = target.minimal_cone_containing(img)
-                    if gamma is None:
-                        raise IncompatibleMorphism(face)
-                    tgt_orbit = tgt.orbit_of_cone(gamma)
-                else:
-                    j = self.chart_assignment[i]
-                    gamma = _minimal_face_containing(tgt.charts[j], img)
-                    tgt_orbit = tgt.orbit(j, gamma)
+                j = self.chart_assignment[i]
+                p = matrix.apply(face.relint_point())
+                tight = [u for u in tgt.charts[j].facet_normals if dot(u, p) == 0]
+                rays = [r for r in tgt.charts[j].rays if all(dot(u, r) == 0 for u in tight)]
+                tgt_orbit = tgt.orbit_of_rays(j, rays)
                 if assigned is None:
                     assigned = tgt_orbit
                 elif assigned != tgt_orbit:
@@ -239,21 +230,46 @@ def orbit_limit_targets(
     limit orbit is cut out by the rays of that dual face orthogonal to v.
     The dual face is read off the chart (its facet normals vanishing on gamma,
     lineality sigma^perp) and the limit orbit looked up by its rays, so no
-    cone is built.  ``forced_identifications`` tabulates the results once.
+    cone is built.  ``limit_table`` gives the results for many vectors.
     """
     v = vec(v)
     sys = system_view(space)
     if len(v) != sys.rank:
         raise ValueError("vector rank mismatch")
+    return _limits_through(sys, _dual_faces(sys, orbit), v)
+
+
+def limit_table(
+    space: Fan | FanSystem, vectors: Sequence[IntVec]
+) -> dict[tuple[OrbitIndex, IntVec], tuple[OrbitIndex, ...]]:
+    """``orbit_limit_targets`` of every orbit along every vector, reading
+    each orbit's dual faces off its charts once."""
+    sys = system_view(space)
+    table = {}
+    for orbit in sys.orbits():
+        faces = _dual_faces(sys, orbit)
+        for v in vectors:
+            table[orbit, v] = _limits_through(sys, faces, v)
+    return table
+
+
+def _dual_faces(sys: FanSystem, orbit: OrbitIndex) -> list[tuple[int, list[IntVec]]]:
+    """Per realizing chart, its facet normals vanishing on the orbit's cone."""
+    return [
+        (i, [u for u in sys.charts[i].facet_normals
+             if all(dot(u, r) == 0 for r in orbit.cone.rays)])
+        for i, _face in sys.realizations(orbit)
+    ]
+
+
+def _limits_through(
+    sys: FanSystem, dual_faces: list[tuple[int, list[IntVec]]], v: IntVec
+) -> tuple[OrbitIndex, ...]:
     out: dict[OrbitIndex, None] = {}
-    for chart_id, _face in sys.realizations(orbit):
+    for chart_id, normals in dual_faces:
         chart = sys.charts[chart_id]
         if any(dot(l, v) != 0 for l in chart.span_perp.basis):
             continue
-        normals = [
-            u for u in chart.facet_normals
-            if all(dot(u, r) == 0 for r in orbit.cone.rays)
-        ]
         pairings = [dot(u, v) for u in normals]
         if any(x < 0 for x in pairings):
             continue

@@ -38,8 +38,9 @@ from .morphisms import (
     complement_codim,
     fiber_pieces,
     image_constructible,
+    limit_table,
     one_param_limits,
-    orbit_limit_targets,
+    orbit_limit_targets,  # noqa: F401  re-exported; perfbench's tracer patches this alias
     toric_morphism,
 )
 from .points import OrbitPoint, TorusElement, act, distinguished_point
@@ -119,13 +120,17 @@ class IdentificationPartition:
 
 def _test_vectors(system: FanSystem) -> tuple[IntVec, ...]:
     """One primitive relative-interior representative per face of every
-    chart and of every pairwise chart intersection."""
+    chart and of every pairwise chart intersection.  A meet that is a face of
+    one of its charts adds no face, so its faces are skipped."""
+    charts = system.charts
     cones: list[Cone] = []
-    for chart in system.charts:
+    for chart in charts:
         cones.extend(chart.faces())
-    for i in range(len(system.charts)):
-        for j in range(i + 1, len(system.charts)):
-            cones.extend(system.meet(i, j).faces())
+    for i in range(len(charts)):
+        for j in range(i + 1, len(charts)):
+            meet = system.meet(i, j)
+            if not (meet.is_face_of(charts[i]) or meet.is_face_of(charts[j])):
+                cones.extend(meet.faces())
     out = set()
     for c in cones:
         if c.dim > 0:
@@ -146,7 +151,7 @@ def forced_identifications(system: FanSystem) -> IdentificationPartition:
     """
     orbits = system.orbits()
     vectors = _test_vectors(system)
-    limits = {(o, v): orbit_limit_targets(system, o, v) for o in orbits for v in vectors}
+    limits = limit_table(system, vectors)
     root_of: dict[OrbitIndex, OrbitIndex] = {o: o for o in orbits}
     members: dict[OrbitIndex, list[OrbitIndex]] = {o: [o] for o in orbits}
     # a class lattice always contains the isotropy lattices of its members

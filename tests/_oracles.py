@@ -11,9 +11,10 @@ import itertools
 from fractions import Fraction
 from math import gcd
 
-from toriq.cones import Cone
+from toriq.cones import Cone, image_cone
 from toriq.fans import Fan, OrbitIndex, system_view
-from toriq.intlinalg import IntMatrix, dot
+from toriq.intlinalg import IntMatrix, dot, primitive
+from toriq.morphisms import IncompatibleMorphism
 
 
 def minor_gcd(m: IntMatrix, k: int) -> int:
@@ -223,6 +224,66 @@ def dd_limit_targets(space, orbit: OrbitIndex, v) -> tuple[OrbitIndex, ...]:
         rays = [r for r in chart.rays if all(dot(u, r) == 0 for u in tight)]
         out.add(sys.orbit(chart_id, Cone.from_generators(rays, sys.rank)))
     return tuple(sorted(out, key=OrbitIndex.sort_key))
+
+
+# ---------------------------------------------------------------------------
+# orbit maps and test vectors by scanning faces
+
+
+def scan_orbit_of_cone(sys, cone: Cone) -> OrbitIndex:
+    """The orbit whose cone equals the given one, by scanning every
+    realization of every orbit."""
+    hits = {o for o in sys.orbits() for _i, f in sys.realizations(o) if f == cone}
+    if not hits:
+        raise ValueError("no orbit with the given cone")
+    if len(hits) > 1:
+        raise ValueError("several distinct orbits share this cone; specify the chart")
+    return hits.pop()
+
+
+def _minimal_containing(cones, sub: Cone) -> Cone:
+    return min((c for c in cones if c.contains_cone(sub)), key=lambda c: (c.dim, c.rays))
+
+
+def scan_orbit_assignment(matrix: IntMatrix, source, target) -> dict:
+    """The orbit assignment of a toric morphism from image cones: each source
+    face's image is built as a cone, and the smallest target cone containing
+    it is found by testing every fan cone (a ``Fan`` target) or every face of
+    the assigned chart (a chart system) with ``contains_cone``.  Raises
+    ``IncompatibleMorphism`` with the morphism's messages."""
+    src, tgt = system_view(source), system_view(target)
+    assignment = []
+    for chart in src.charts:
+        img = image_cone(matrix, chart)
+        pick = next((j for j, tc in enumerate(tgt.charts) if tc.contains_cone(img)), None)
+        if pick is None:
+            raise IncompatibleMorphism(chart)
+        assignment.append(pick)
+    out = {}
+    for orbit in src.orbits():
+        found = set()
+        for i, face in src.realizations(orbit):
+            img = image_cone(matrix, face)
+            if isinstance(target, Fan):
+                found.add(scan_orbit_of_cone(tgt, _minimal_containing(target.all_cones, img)))
+            else:
+                j = assignment[i]
+                found.add(tgt.orbit(j, _minimal_containing(tgt.charts[j].faces(), img)))
+        if len(found) > 1:
+            raise IncompatibleMorphism(
+                orbit.cone, "chart realizations assign the orbit to different targets"
+            )
+        out[orbit] = found.pop()
+    return out
+
+
+def all_meets_test_vectors(system) -> tuple[tuple[int, ...], ...]:
+    """Primitive relative-interior points of every face of every chart and
+    of every pairwise chart intersection."""
+    cones = [f for chart in system.charts for f in chart.faces()]
+    for i, j in itertools.combinations(range(len(system.charts)), 2):
+        cones += system.charts[i].intersect(system.charts[j]).faces()
+    return tuple(sorted({primitive(c.relint_point()) for c in cones if c.dim > 0}))
 
 
 # ---------------------------------------------------------------------------

@@ -1,8 +1,9 @@
 """How many double description (DD) passes the quotient check runs.
 
 Faces of a pointed cone are built from their ray sets, each chart-pair
-intersection is computed once, and the comparison morphism maps cones by
-the identity, so none of these steps may rebuild a cone.
+intersection is computed once, and a morphism maps each face by its
+relative-interior point and looks the target face up by its rays, so none of
+these steps may rebuild a cone.
 """
 
 import pytest
@@ -10,6 +11,7 @@ import pytest
 from toriq import cones
 from toriq.cones import Cone
 from toriq.fans import Fan, FanSystem
+from toriq.morphisms import ToricMorphism
 from toriq.separation import comparison_morphism, forced_identifications
 
 
@@ -68,3 +70,28 @@ def test_comparison_morphism_builds_no_cone(calls):
     kappa = comparison_morphism(system, fan)
     assert len(kappa.orbit_assignment) == 29
     assert calls["dd"] == 0
+
+
+def test_non_identity_morphism_builds_no_cone(calls, ex):
+    pi = ex.pi
+    calls["dd"] = 0
+    rebuilt = ToricMorphism(pi.matrix, pi.source, pi.target)
+    assert calls["dd"] == 0
+    assert rebuilt.orbit_assignment == pi.orbit_assignment
+
+
+def test_comparison_morphism_scans_no_face(monkeypatch):
+    charts = projective_space_charts(3)
+    system, fan = FanSystem(charts), Fan(charts)
+    fan.as_system()  # the target's chart system is part of the target
+    scans = []
+    faces = Cone.faces
+
+    def counting_faces(self):
+        scans.append(self)
+        return faces(self)
+
+    monkeypatch.setattr(Fan, "minimal_cone_containing", lambda *args: scans.append(args))
+    monkeypatch.setattr(Cone, "faces", counting_faces)
+    comparison_morphism(system, fan)
+    assert scans == []

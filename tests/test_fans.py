@@ -14,7 +14,7 @@ from toriq.fans import (
     minimal_cone_containing,
 )
 
-from _oracles import dd_transitivity_failure, random_fan
+from _oracles import dd_transitivity_failure, random_fan, scan_orbit_of_cone
 
 E1, E2, E3 = (1, 0, 0), (0, 1, 0), (0, 0, 1)
 
@@ -199,6 +199,30 @@ def test_orbit_of_cone_lookup(ex):
     assert sys.orbit_of_cone(ex.cones["rho4"]).chart == 1
     with pytest.raises(ValueError):
         sys.orbit_of_cone(ex.cones["delta"])
+
+
+def orbit_or_error(lookup, sys, cone):
+    try:
+        return lookup(sys, cone)
+    except ValueError as err:
+        return str(err)
+
+
+def test_orbit_of_cone_matches_scan_oracle(ex):
+    rng = random.Random(31)
+    ray = Cone.from_generators([(1,)], 1)
+    systems = [ex.system, FanSystem([ray, ray]), ex.target_fan.as_system()]
+    for _ in range(20):
+        fan = random_fan(rng, max_rank=3)
+        systems += [fan.as_system(), FanSystem(fan.maximal_cones)]
+    for sys in systems:
+        n = sys.rank
+        probes = [f for chart in sys.charts for f in chart.faces()]
+        # a chart's own non-face, a cone with lineality, a cone of another rank
+        probes += [Cone.from_generators([(1,) * n], n), Cone.full(n), Cone.zero(n + 1)]
+        for cone in probes:
+            got = orbit_or_error(FanSystem.orbit_of_cone, sys, cone)
+            assert got == orbit_or_error(scan_orbit_of_cone, sys, cone)
 
 
 def test_system_equivalence_under_permutation(ex):

@@ -298,6 +298,14 @@ def test_lift_matrix_is_a_section_of_the_quotient():
         assert (lat.quotient_matrix() @ lat.lift_matrix()) == IntMatrix.identity(q)
 
 
+def test_quotient_structure_rejects_unsaturated_lattice():
+    lat = Sublattice.from_rows(2, [(2, 0)])
+    for use in (lambda: lat.coset_reduce((Fraction(2), Fraction(3))), lat.quotient_matrix):
+        with pytest.raises(ValueError, match="^quotient structure requires a saturated lattice$"):
+            use()
+    assert lat.saturate().quotient_matrix().nrows == 1
+
+
 # ---------------------------------------------------------------------------
 # monomial equations
 
@@ -378,6 +386,21 @@ def test_solution_coset_satisfies_equations():
                 element[i] *= Fraction(2) ** (c * b[i])
         point = tuple(r * e for r, e in zip(sol.representative, element))
         assert apply_exponent_matrix(m, point) == tuple(target)
+
+
+def test_solver_kernel_is_the_saturated_kernel():
+    rng = random.Random(406)
+    kinds = set()
+    for _ in range(150):
+        m = random_matrix(rng, max_dim=3, bound=4)
+        target = tuple(
+            Fraction(rng.choice((1, 2, 3, 4, 9)), rng.choice((1, 4))) for _ in range(m.nrows)
+        )
+        sol = solve_torus_equation(m, target)
+        kinds.add(type(sol))
+        if not isinstance(sol, Inconsistent):
+            assert sol.kernel == kernel_saturated(m)
+    assert kinds == {CosetSolution, NoRationalPoint, Inconsistent}
 
 
 # ---------------------------------------------------------------------------

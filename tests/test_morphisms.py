@@ -1,10 +1,11 @@
 import random
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
 from toriq.cones import Cone, dual_cone, semigroup_generators
-from toriq.fans import build_fan, system_view
+from toriq.fans import Fan, FanSystem, build_fan, system_view
 from toriq.intlinalg import IntMatrix
 from toriq.morphisms import (
     ConstructibleOrbitSet,
@@ -15,16 +16,24 @@ from toriq.morphisms import (
     complement_codim,
     fiber_pieces,
     image_constructible,
+    limit_table,
     one_param_limits,
     orbit_image,
     orbit_limit_targets,
     toric_morphism,
 )
 from toriq.points import OrbitPoint, TorusElement, act, distinguished_point, torus_point
+from toriq.scene import load_scene
 
 from toriq.separation import _test_vectors
 
-from _oracles import dd_limit_targets, random_fan, random_point
+from _oracles import (
+    dd_limit_targets,
+    random_fan,
+    random_point,
+    random_unimodular,
+    scan_orbit_assignment,
+)
 
 
 def ray(*coords, rank=None):
@@ -58,6 +67,48 @@ def test_rank_mismatch():
     orthant = build_fan([ray((1, 0), (0, 1))])
     with pytest.raises(ValueError):
         toric_morphism(IntMatrix.identity(3), orthant, orthant)
+
+
+def assignment_or_error(build, matrix, source, target):
+    try:
+        return build(matrix, source, target)
+    except IncompatibleMorphism as err:
+        return str(err)
+
+
+def test_orbit_assignment_matches_face_scan_oracle(ex):
+    scenes = Path(__file__).resolve().parent.parent / "scenes"
+    plane = load_scene(scenes / "punctured-plane.json").morphisms
+    morphisms = [ex.pi, ex.pi_tilde, ex.kappa, *plane.values()]
+    cases = [(m.matrix, m.source, m.target) for m in morphisms]
+    rng = random.Random(57)
+    for _ in range(40):
+        fan = random_fan(rng, max_rank=3)
+        n = fan.rank
+        u = random_unimodular(rng, n)
+        moved = Fan([Cone.from_generators(map(u.apply, c.rays), n) for c in fan.maximal_cones])
+        torus_glued = FanSystem(fan.maximal_cones)
+        row = IntMatrix([[rng.randint(-2, 2) for _ in range(n)]], n)
+        cases += [
+            (IntMatrix.identity(n), fan, fan),
+            (IntMatrix.identity(n), torus_glued, fan),
+            (u, fan, moved),
+            (u, torus_glued, moved.as_system()),
+            # a rank-1 projection onto the fan of P^1: faces collapse to the
+            # zero cone, and a cone whose image straddles 0 is incompatible
+            (row, fan, Fan([ray((1,)), ray((-1,))])),
+        ]
+    collapsed = incompatible = 0
+    for matrix, source, target in cases:
+        got = assignment_or_error(
+            lambda *a: toric_morphism(*a).orbit_assignment, matrix, source, target
+        )
+        assert got == assignment_or_error(scan_orbit_assignment, matrix, source, target)
+        if isinstance(got, str):
+            incompatible += 1
+        elif any(o.cone.dim > t.cone.dim for o, t in got.items()):
+            collapsed += 1
+    assert collapsed > 10 and incompatible > 5
 
 
 # ---------------------------------------------------------------------------
@@ -235,9 +286,11 @@ def test_limit_targets_match_dual_face_oracle(ex):
         sys = system_view(space)
         vectors = list(_test_vectors(sys))
         vectors += [tuple(rng.randint(-2, 2) for _ in range(sys.rank)) for _ in range(4)]
+        table = limit_table(space, vectors)
         for orbit in sys.orbits():
             for v in vectors:
-                assert orbit_limit_targets(space, orbit, v) == dd_limit_targets(space, orbit, v)
+                expected = dd_limit_targets(space, orbit, v)
+                assert orbit_limit_targets(space, orbit, v) == expected == table[orbit, v]
 
 
 def test_limit_morphism_compatibility(ex):

@@ -9,6 +9,7 @@ from toriq.intlinalg import IntMatrix, Sublattice, invariant_factors
 from toriq.morphisms import IncompatibleMorphism, one_param_limits, toric_morphism
 from toriq.points import TorusElement, act, torus_point
 from toriq.separation import (
+    _test_vectors,
     comparison_morphism,
     forced_identifications,
     invariance_check,
@@ -17,7 +18,7 @@ from toriq.separation import (
     verify_example,
 )
 
-from _oracles import random_torus
+from _oracles import all_meets_test_vectors, random_fan, random_torus
 
 
 def ray1():
@@ -368,3 +369,29 @@ def test_event_order_on_torus_glued_p3():
          [(o.chart, o.cone.rays) for o in e.limit_orbits])
         for e in part.events
     ] == [(v, torus, limits) for v, limits in expected]
+
+
+def test_test_vectors_match_all_meets_oracle(ex):
+    rng = random.Random(77)
+    systems = [ex.system, *(torus_glued_projective_space(n)[0] for n in (2, 3))]
+    systems += [random_fan(rng, max_rank=3).as_system() for _ in range(20)]
+    # pointed charts glued along the torus, whose meets need not be faces
+    while len(systems) < 60:
+        n = rng.randint(2, 3)
+        charts = [
+            Cone.from_generators(
+                [[rng.randint(-2, 2) for _ in range(n)] for _ in range(rng.randint(1, n + 1))], n
+            )
+            for _ in range(rng.randint(2, 3))
+        ]
+        if all(c.is_pointed for c in charts):
+            systems.append(FanSystem(charts))
+    new_faces = 0
+    for system in systems:
+        assert _test_vectors(system) == all_meets_test_vectors(system)
+        new_faces += any(
+            not (system.meet(i, j).is_face_of(system.charts[i])
+                 or system.meet(i, j).is_face_of(system.charts[j]))
+            for i in range(len(system.charts)) for j in range(i + 1, len(system.charts))
+        )
+    assert new_faces > 5
