@@ -19,6 +19,7 @@ incidence sets (Kaibel-Pfetsch), so each distinct face is built once.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Iterable, Sequence
 
 from .intlinalg import (
@@ -296,22 +297,28 @@ class Cone:
             self.ambient, rays, self.lineality, _canonical_rays(normals, span_perp), span_perp
         )
 
+    @cached_property
+    def incidence(self) -> tuple[int, ...]:
+        """Per facet normal, the rays it vanishes on: bit k stands for rays[k]."""
+        return tuple(sum(1 << k for k, r in enumerate(self.rays) if dot(u, r) == 0)
+                     for u in self.facet_normals)
+
     def faces(self) -> tuple["Cone", ...]:
         """All faces of a pointed cone, ordered by (dim, generators).
 
-        A face is an intersection of facet incidence sets (the rays a facet
-        normal vanishes on); one cone is built per distinct ray set.
+        A face is an intersection of facet incidence masks (``incidence``);
+        one cone is built per distinct ray mask.
         """
         if not self.is_pointed:
             raise ValueError("face enumeration requires a pointed cone")
         cached = getattr(self, "_faces", None)
         if cached is not None:
             return cached
-        ray_sets = {frozenset(self.rays)}
-        for u in self.facet_normals:
-            incident = {r for r in self.rays if dot(u, r) == 0}
-            ray_sets |= {s & incident for s in ray_sets}
-        found = [self._face_of_rays(s) for s in ray_sets]
+        masks = {(1 << len(self.rays)) - 1}
+        for z in self.incidence:
+            masks |= {m & z for m in masks}
+        found = [self._face_of_rays(r for k, r in enumerate(self.rays) if m >> k & 1)
+                 for m in masks]
         out = tuple(sorted(found, key=lambda c: (c.dim, c.rays)))
         object.__setattr__(self, "_faces", out)
         return out

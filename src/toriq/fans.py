@@ -9,6 +9,7 @@ prevariety.
 
 Orbits are indexed by (chart, face) pairs; two pairs denote the same orbit
 exactly when the face is contained in the gluing cone of the chart pair.
+Each orbit also has an integer id, its position in ``FanSystem.orbits()``.
 """
 
 from __future__ import annotations
@@ -124,48 +125,39 @@ class FanSystem:
         return self.gluing[(min(i, j), max(i, j))]
 
     def _build_orbits(self) -> None:
-        pairs: list[tuple[int, Cone]] = []
+        """Number the orbits: an orbit's id is its position in ``orbits()``.
+
+        A face f of chart i is the same orbit in every chart j whose gluing
+        cone with i holds f's rays.  Gluing cones are faces of both charts
+        and transitive, so this is already an equivalence; the orbit is
+        represented in its first chart.  In chart j the face is also known by
+        its ray mask (bit k for ``charts[j].rays[k]``), and ``orbit_masks`` and
+        ``orbit_of_mask`` map ids to (chart, mask) pairs and back.
+        """
+        m = len(self.charts)
+        glued = [[set(self.gluing_cone(i, j).rays) for j in range(m)] for i in range(m)]
+        bit = [{r: 1 << k for k, r in enumerate(c.rays)} for c in self.charts]
+        found = []
         for i, chart in enumerate(self.charts):
             for f in chart.faces():
-                pairs.append((i, f))
-        parent = {idx: idx for idx in range(len(pairs))}
-
-        def find(x: int) -> int:
-            while parent[x] != x:
-                parent[x] = parent[parent[x]]
-                x = parent[x]
-            return x
-
-        def union(a: int, b: int) -> None:
-            ra, rb = find(a), find(b)
-            if ra != rb:
-                parent[max(ra, rb)] = min(ra, rb)
-
-        index = {(i, f.key()): idx for idx, (i, f) in enumerate(pairs)}
-        for (i, j), g in self.gluing.items():
-            for f in self.charts[i].faces():
-                if g.contains_cone(f):
-                    union(index[(i, f.key())], index[(j, f.key())])
-        classes: dict[int, list[int]] = {}
-        for idx in range(len(pairs)):
-            classes.setdefault(find(idx), []).append(idx)
+                js = [j for j in range(m) if glued[i][j].issuperset(f.rays)]
+                if js[0] == i:
+                    masks = [(j, sum(bit[j][r] for r in f.rays)) for j in js]
+                    found.append((OrbitIndex(i, f), masks))
+        found.sort(key=lambda t: t[0].sort_key())
+        self._orbits = tuple(o for o, _ in found)
+        self.orbit_id = {o: n for n, o in enumerate(self._orbits)}
+        self.orbit_masks = tuple(tuple(masks) for _, masks in found)
+        self.orbit_of_mask: list[dict[int, int]] = [{} for _ in range(m)]
         self._rep_of_pair: dict[tuple[int, tuple[IntVec, ...]], OrbitIndex] = {}
         self._orbits_of_rays: dict[tuple[IntVec, ...], set[OrbitIndex]] = {}
         self._realizations: dict[OrbitIndex, tuple[tuple[int, Cone], ...]] = {}
-        orbit_list = []
-        for members in classes.values():
-            rep_idx = min(members, key=lambda ix: (pairs[ix][0], pairs[ix][1].key()))
-            rep = OrbitIndex(pairs[rep_idx][0], pairs[rep_idx][1])
-            orbit_list.append(rep)
-            reals = tuple(
-                sorted(((pairs[ix][0], pairs[ix][1]) for ix in members),
-                       key=lambda t: t[0])
-            )
-            self._realizations[rep] = reals
-            for ix in members:
-                self._rep_of_pair[(pairs[ix][0], pairs[ix][1].rays)] = rep
-                self._orbits_of_rays.setdefault(pairs[ix][1].rays, set()).add(rep)
-        self._orbits = tuple(sorted(orbit_list, key=OrbitIndex.sort_key))
+        for n, (o, masks) in enumerate(found):
+            self._realizations[o] = tuple((j, o.cone) for j, _ in masks)
+            self._orbits_of_rays.setdefault(o.cone.rays, set()).add(o)
+            for j, mask in masks:
+                self.orbit_of_mask[j][mask] = n
+                self._rep_of_pair[j, o.cone.rays] = o
 
     # -- orbit bookkeeping ---------------------------------------------------
 

@@ -226,57 +226,55 @@ def orbit_limit_targets(
     for x on the given orbit; the coset is carried along unchanged.
 
     In a chart sigma containing the orbit's cone gamma, the limit exists iff
-    v pairs nonnegatively with the dual face sigma^vee meet gamma^perp; the
-    limit orbit is cut out by the rays of that dual face orthogonal to v.
-    The dual face is read off the chart (its facet normals vanishing on gamma,
-    lineality sigma^perp) and the limit orbit looked up by its rays, so no
-    cone is built.  ``limit_table`` gives the results for many vectors.
+    v pairs nonnegatively with the dual face sigma^vee meet gamma^perp: v is
+    orthogonal to sigma^perp, and no facet normal vanishing on gamma pairs
+    negatively with v.  The limit orbit is cut out by the tight ones.  Both
+    steps run on ray masks (``_limit_ids``), so no cone is built.
+    ``limit_table`` gives the results for many orbits and vectors.
     """
     v = vec(v)
     sys = system_view(space)
     if len(v) != sys.rank:
         raise ValueError("vector rank mismatch")
-    return _limits_through(sys, _dual_faces(sys, orbit), v)
+    reals = sys.orbit_masks[sys.orbit_id[orbit]]
+    pairings = {i: _pairings(sys.charts[i], v) for i, _mask in reals}
+    return tuple(sys.orbits()[t] for t in _limit_ids(sys, reals, pairings))
 
 
-def limit_table(
-    space: Fan | FanSystem, vectors: Sequence[IntVec]
-) -> dict[tuple[OrbitIndex, IntVec], tuple[OrbitIndex, ...]]:
-    """``orbit_limit_targets`` of every orbit along every vector, reading
-    each orbit's dual faces off its charts once."""
+def limit_table(space: Fan | FanSystem, vectors: Sequence[IntVec]) -> list[list[tuple[int, ...]]]:
+    """``orbit_limit_targets`` as orbit ids, ``table[orbit id][vector index]``;
+    each chart pairs its facet normals with each vector once."""
     sys = system_view(space)
-    table = {}
-    for orbit in sys.orbits():
-        faces = _dual_faces(sys, orbit)
-        for v in vectors:
-            table[orbit, v] = _limits_through(sys, faces, v)
-    return table
+    pairings = [[_pairings(chart, v) for chart in sys.charts] for v in vectors]
+    return [[_limit_ids(sys, reals, p) for p in pairings] for reals in sys.orbit_masks]
 
 
-def _dual_faces(sys: FanSystem, orbit: OrbitIndex) -> list[tuple[int, list[IntVec]]]:
-    """Per realizing chart, its facet normals vanishing on the orbit's cone."""
-    return [
-        (i, [u for u in sys.charts[i].facet_normals
-             if all(dot(u, r) == 0 for r in orbit.cone.rays)])
-        for i, _face in sys.realizations(orbit)
-    ]
+def _pairings(chart: Cone, v: IntVec) -> list[int] | None:
+    """<u, v> for the chart's facet normals; None when v leaves its span."""
+    if any(dot(l, v) != 0 for l in chart.span_perp.basis):
+        return None
+    return [dot(u, v) for u in chart.facet_normals]
 
 
-def _limits_through(
-    sys: FanSystem, dual_faces: list[tuple[int, list[IntVec]]], v: IntVec
-) -> tuple[OrbitIndex, ...]:
-    out: dict[OrbitIndex, None] = {}
-    for chart_id, normals in dual_faces:
-        chart = sys.charts[chart_id]
-        if any(dot(l, v) != 0 for l in chart.span_perp.basis):
+def _limit_ids(sys: FanSystem, reals, pairings) -> tuple[int, ...]:
+    """The limit orbits' ids of an orbit given by its (chart, face mask)
+    pairs.  The dual face of a face is the facet normals whose zero mask
+    contains the face's mask; a negative pairing there means no limit, and
+    otherwise the limit face is the AND of the tight normals' masks."""
+    out = set()
+    for i, mask in reals:
+        if pairings[i] is None:
             continue
-        pairings = [dot(u, v) for u in normals]
-        if any(x < 0 for x in pairings):
-            continue
-        tight = [u for u, x in zip(normals, pairings) if x == 0]
-        rays1 = [r for r in chart.rays if all(dot(u, r) == 0 for u in tight)]
-        out[sys.orbit_of_rays(chart_id, rays1)] = None
-    return tuple(sorted(out, key=OrbitIndex.sort_key))
+        limit = (1 << len(sys.charts[i].rays)) - 1
+        for z, x in zip(sys.charts[i].incidence, pairings[i]):
+            if z & mask == mask:
+                if x < 0:
+                    break
+                if x == 0:
+                    limit &= z
+        else:
+            out.add(sys.orbit_of_mask[i][limit])
+    return tuple(sorted(out))
 
 
 def one_param_limits(

@@ -142,54 +142,64 @@ def forced_identifications(system: FanSystem) -> IdentificationPartition:
     """Fixpoint of the closure rules, starting from singleton classes with
     the orbit isotropy lattices.
 
-    The limit orbits of an (orbit, v) pair do not depend on the classes, so
-    they are tabulated once.  Each sweep visits the classes by their smallest
-    orbit and the vectors in lexicographic order, which fixes the events.  A
-    step with one target class whose lattice already contains the source
-    class's lattice changes nothing and is skipped; every other step merges
-    classes or grows a lattice, and is recorded as an event.
+    The fixpoint runs on orbit ids (positions in ``system.orbits()``, which
+    is sorted by ``OrbitIndex.sort_key``), so ``root_of``, ``members`` and
+    ``lattice`` are lists and id order is orbit order.  The limit orbits of
+    an (orbit, v) pair do not depend on the classes, so they are tabulated
+    once by ``limit_table`` from the charts' incidence masks.  Each sweep
+    visits the classes by their smallest orbit and the vectors in
+    lexicographic order, which fixes the events.  A step with one target
+    class whose lattice already contains the source class's lattice changes
+    nothing and is skipped; every other step merges classes or grows a
+    lattice, and is recorded as an event.  A class lattice changes only at
+    its events, each of which bumps the class's version, so the skip test is
+    remembered by (source, version, target, version) and reruns only after
+    an event (semi-naive evaluation).
     """
     orbits = system.orbits()
     vectors = _test_vectors(system)
     limits = limit_table(system, vectors)
-    root_of: dict[OrbitIndex, OrbitIndex] = {o: o for o in orbits}
-    members: dict[OrbitIndex, list[OrbitIndex]] = {o: [o] for o in orbits}
+    root_of = list(range(len(orbits)))
+    members = [[o] for o in root_of]  # empty once merged into another class
     # a class lattice always contains the isotropy lattices of its members
-    lattice: dict[OrbitIndex, Sublattice] = {o: o.cone.span_lattice for o in orbits}
+    lattice = [o.cone.span_lattice for o in orbits]
+    version = [0] * len(orbits)
+    contains: dict[tuple[int, int, int, int], bool] = {}
     events: list[MergeEvent] = []
     changed = True
     while changed:
         changed = False
-        for root in sorted(members, key=OrbitIndex.sort_key):
-            for v in vectors:
+        for root in [r for r, ms in enumerate(members) if ms]:
+            for k, v in enumerate(vectors):
                 root = root_of[root]
-                found = {g for o in members[root] for g in limits[o, v]}
-                limit_orbits = tuple(sorted(found, key=OrbitIndex.sort_key))
-                if not limit_orbits:
+                limit_ids = sorted({g for o in members[root] for g in limits[o][k]})
+                if not limit_ids:
                     continue
-                targets = sorted({root_of[g] for g in limit_orbits}, key=OrbitIndex.sort_key)
+                targets = sorted({root_of[g] for g in limit_ids})
                 new_root = targets[0]
-                k_class = lattice[root]
-                if len(targets) == 1 and all(map(lattice[new_root].contains, k_class.basis)):
-                    continue
-                merged = k_class
+                if len(targets) == 1:
+                    key = (root, version[root], new_root, version[new_root])
+                    if key not in contains:
+                        contains[key] = all(map(lattice[new_root].contains, lattice[root].basis))
+                    if contains[key]:
+                        continue
+                merged = lattice[root]
                 for r in targets:
                     merged = merged + lattice[r]
-                merged = merged.saturate()
-                source = tuple(members[root])
+                source = tuple(orbits[o] for o in members[root])
                 for r in targets[1:]:
                     for o in members[r]:
                         root_of[o] = new_root
-                    members[new_root] += members.pop(r)
-                members[new_root].sort(key=OrbitIndex.sort_key)
-                lattice[new_root] = merged
-                events.append(MergeEvent(v, source, limit_orbits))
+                    members[new_root] += members[r]
+                    members[r] = []
+                members[new_root].sort()
+                lattice[new_root] = merged.saturate()
+                version[new_root] += 1
+                events.append(MergeEvent(v, source, tuple(orbits[g] for g in limit_ids)))
                 changed = True
     classes = tuple(
-        sorted(
-            (IdentClass(tuple(ms), lattice[root]) for root, ms in members.items()),
-            key=lambda c: c.orbits[0].sort_key(),
-        )
+        IdentClass(tuple(orbits[o] for o in ms), lattice[root])
+        for root, ms in enumerate(members) if ms
     )
     return IdentificationPartition(system, classes, tuple(events))
 

@@ -14,7 +14,8 @@ from math import gcd
 from toriq.cones import Cone, image_cone
 from toriq.fans import Fan, OrbitIndex, system_view
 from toriq.intlinalg import IntMatrix, dot, primitive
-from toriq.morphisms import IncompatibleMorphism
+from toriq.morphisms import IncompatibleMorphism, orbit_limit_targets
+from toriq.separation import IdentClass, IdentificationPartition, MergeEvent, _test_vectors
 
 
 def minor_gcd(m: IntMatrix, k: int) -> int:
@@ -284,6 +285,57 @@ def all_meets_test_vectors(system) -> tuple[tuple[int, ...], ...]:
     for i, j in itertools.combinations(range(len(system.charts)), 2):
         cones += system.charts[i].intersect(system.charts[j]).faces()
     return tuple(sorted({primitive(c.relint_point()) for c in cones if c.dim > 0}))
+
+
+# ---------------------------------------------------------------------------
+# the identification fixpoint keyed by OrbitIndex objects
+
+
+def dict_forced_identifications(system):
+    """The closure-rule fixpoint on dicts keyed by ``OrbitIndex``: limits
+    from one ``orbit_limit_targets`` call per (orbit, v), classes sorted by
+    ``OrbitIndex.sort_key``, and the skip test (one target class whose
+    lattice contains the source class's lattice) rerun at every step."""
+    orbits = system.orbits()
+    vectors = _test_vectors(system)
+    limits = {(o, v): orbit_limit_targets(system, o, v) for o in orbits for v in vectors}
+    root_of = {o: o for o in orbits}
+    members = {o: [o] for o in orbits}
+    lattice = {o: o.cone.span_lattice for o in orbits}
+    events = []
+    changed = True
+    while changed:
+        changed = False
+        for root in sorted(members, key=OrbitIndex.sort_key):
+            for v in vectors:
+                root = root_of[root]
+                found = {g for o in members[root] for g in limits[o, v]}
+                limit_orbits = tuple(sorted(found, key=OrbitIndex.sort_key))
+                if not limit_orbits:
+                    continue
+                targets = sorted({root_of[g] for g in limit_orbits}, key=OrbitIndex.sort_key)
+                new_root = targets[0]
+                k_class = lattice[root]
+                if len(targets) == 1 and all(map(lattice[new_root].contains, k_class.basis)):
+                    continue
+                merged = k_class
+                for r in targets:
+                    merged = merged + lattice[r]
+                merged = merged.saturate()
+                source = tuple(members[root])
+                for r in targets[1:]:
+                    for o in members[r]:
+                        root_of[o] = new_root
+                    members[new_root] += members.pop(r)
+                members[new_root].sort(key=OrbitIndex.sort_key)
+                lattice[new_root] = merged
+                events.append(MergeEvent(v, source, limit_orbits))
+                changed = True
+    classes = sorted(
+        (IdentClass(tuple(ms), lattice[root]) for root, ms in members.items()),
+        key=lambda c: c.orbits[0].sort_key(),
+    )
+    return IdentificationPartition(system, tuple(classes), tuple(events))
 
 
 # ---------------------------------------------------------------------------

@@ -3,7 +3,8 @@
 Faces of a pointed cone are built from their ray sets, each chart-pair
 intersection is computed once, and a morphism maps each face by its
 relative-interior point and looks the target face up by its rays, so none of
-these steps may rebuild a cone.
+these steps may rebuild a cone.  The identification fixpoint tests lattice
+containment only after an event changed a lattice.
 """
 
 import pytest
@@ -11,6 +12,7 @@ import pytest
 from toriq import cones
 from toriq.cones import Cone
 from toriq.fans import Fan, FanSystem
+from toriq.intlinalg import Sublattice
 from toriq.morphisms import ToricMorphism
 from toriq.separation import comparison_morphism, forced_identifications
 
@@ -95,3 +97,20 @@ def test_comparison_morphism_scans_no_face(monkeypatch):
     monkeypatch.setattr(Cone, "faces", counting_faces)
     comparison_morphism(system, fan)
     assert scans == []
+
+
+def test_identification_tests_lattices_only_after_events(monkeypatch):
+    # torus-glued P^4: 31 classes, 25 events; rerunning the skip test at
+    # every step made 7,050 containment tests
+    system = FanSystem(projective_space_charts(4))
+    tests = []
+    contains = Sublattice.contains
+
+    def counting_contains(self, v):
+        tests.append(v)
+        return contains(self, v)
+
+    monkeypatch.setattr(Sublattice, "contains", counting_contains)
+    part = forced_identifications(system)
+    assert (len(part.classes), len(part.events)) == (31, 25)
+    assert len(tests) == 325

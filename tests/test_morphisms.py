@@ -287,10 +287,14 @@ def test_limit_targets_match_dual_face_oracle(ex):
         vectors = list(_test_vectors(sys))
         vectors += [tuple(rng.randint(-2, 2) for _ in range(sys.rank)) for _ in range(4)]
         table = limit_table(space, vectors)
-        for orbit in sys.orbits():
-            for v in vectors:
+        orbits = sys.orbits()
+        assert len(table) == len(orbits)
+        for oid, orbit in enumerate(orbits):
+            assert sys.orbit_id[orbit] == oid
+            for k, v in enumerate(vectors):
                 expected = dd_limit_targets(space, orbit, v)
-                assert orbit_limit_targets(space, orbit, v) == expected == table[orbit, v]
+                from_table = tuple(orbits[t] for t in table[oid][k])
+                assert orbit_limit_targets(space, orbit, v) == expected == from_table
 
 
 def test_limit_morphism_compatibility(ex):

@@ -1,3 +1,4 @@
+import itertools
 import random
 from fractions import Fraction
 
@@ -18,7 +19,12 @@ from toriq.separation import (
     verify_example,
 )
 
-from _oracles import all_meets_test_vectors, random_fan, random_torus
+from _oracles import (
+    all_meets_test_vectors,
+    dict_forced_identifications,
+    random_fan,
+    random_torus,
+)
 
 
 def ray1():
@@ -338,7 +344,9 @@ def torus_glued_projective_space(n):
     return build_fan_system(charts), build_fan(charts)
 
 
-@pytest.mark.parametrize("n, classes, events", [(2, 7, 3), (3, 15, 10), (4, 31, 25)])
+@pytest.mark.parametrize(
+    "n, classes, events", [(2, 7, 3), (3, 15, 10), (4, 31, 25), (5, 63, 56), (6, 127, 119)]
+)
 def test_partition_matches_fibers_on_torus_glued_projective_space(n, classes, events):
     system, fan = torus_glued_projective_space(n)
     part = forced_identifications(system)
@@ -371,12 +379,11 @@ def test_event_order_on_torus_glued_p3():
     ] == [(v, torus, limits) for v, limits in expected]
 
 
-def test_test_vectors_match_all_meets_oracle(ex):
-    rng = random.Random(77)
-    systems = [ex.system, *(torus_glued_projective_space(n)[0] for n in (2, 3))]
-    systems += [random_fan(rng, max_rank=3).as_system() for _ in range(20)]
-    # pointed charts glued along the torus, whose meets need not be faces
-    while len(systems) < 60:
+def random_torus_glued_systems(rng, count):
+    """Systems of 2-3 random pointed charts glued along the torus only,
+    whose chart meets need not be faces of either chart."""
+    systems = []
+    while len(systems) < count:
         n = rng.randint(2, 3)
         charts = [
             Cone.from_generators(
@@ -386,6 +393,31 @@ def test_test_vectors_match_all_meets_oracle(ex):
         ]
         if all(c.is_pointed for c in charts):
             systems.append(FanSystem(charts))
+    return systems
+
+
+def partial_p3_gluings():
+    """Every transitive gluing of the P^3 charts along the full
+    intersections of 1-3 chart pairs."""
+    charts, _ = torus_glued_projective_space(3)
+    charts = charts.charts
+    pairs = list(itertools.combinations(range(4), 2))
+    systems = []
+    for k in (1, 2, 3):
+        for chosen in itertools.combinations(pairs, k):
+            gluing = {(i, j): charts[i].intersect(charts[j]) for i, j in chosen}
+            try:
+                systems.append(FanSystem(charts, gluing))
+            except GluingViolation:
+                pass
+    return systems
+
+
+def test_test_vectors_match_all_meets_oracle(ex):
+    rng = random.Random(77)
+    systems = [ex.system, *(torus_glued_projective_space(n)[0] for n in (2, 3))]
+    systems += [random_fan(rng, max_rank=3).as_system() for _ in range(20)]
+    systems += random_torus_glued_systems(rng, 60 - len(systems))
     new_faces = 0
     for system in systems:
         assert _test_vectors(system) == all_meets_test_vectors(system)
@@ -395,3 +427,23 @@ def test_test_vectors_match_all_meets_oracle(ex):
             for i in range(len(system.charts)) for j in range(i + 1, len(system.charts))
         )
     assert new_faces > 5
+
+
+def test_forced_identifications_match_dict_oracle():
+    # the fixpoint on orbit ids with the version-memoised skip test against
+    # the fixpoint keyed by OrbitIndex that reruns the skip test every step
+    rng = random.Random(79)
+    systems = [torus_glued_projective_space(n)[0] for n in (2, 3, 4)]
+    systems += [random_fan(rng, max_rank=3).as_system() for _ in range(20)]
+    systems += random_torus_glued_systems(rng, 60)
+    partial = partial_p3_gluings()
+    assert len(partial) == 13
+    merged = 0
+    for system in systems + partial:
+        part, expected = forced_identifications(system), dict_forced_identifications(system)
+        assert [(c.orbits, c.subtorus.basis) for c in part.classes] == [
+            (c.orbits, c.subtorus.basis) for c in expected.classes
+        ]
+        assert part.events == expected.events
+        merged += any(len(c.orbits) > 1 for c in part.classes)
+    assert merged > 20  # the random fans are separated and merge nothing
