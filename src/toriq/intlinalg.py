@@ -548,13 +548,13 @@ def image_lattice(m: IntMatrix) -> Sublattice:
 def saturated_preimage(m: IntMatrix, target: Sublattice) -> Sublattice:
     """{v : m @ v lies in the Q-span of target}, saturated.
 
-    Computed as the kernel of the quotient projection composed with m.
+    Computed as the kernel of m followed by the characters vanishing on
+    target, which cut out the Q-span.
     """
-    sat = target.saturate()
-    if sat.rank == target.ambient:
+    perp = target.perp()
+    if not perp.basis:
         return Sublattice.full(m.ncols)
-    q = sat.quotient_matrix()
-    return kernel_saturated(q @ m)
+    return kernel_saturated(perp.matrix() @ m)
 
 
 # ---------------------------------------------------------------------------

@@ -15,6 +15,7 @@ from typing import Sequence
 from .cones import Cone
 from .fans import Fan, FanSystem, OrbitIndex, system_view
 from .intlinalg import (
+    CosetSolution,
     Inconsistent,
     IntMatrix,
     IntVec,
@@ -343,35 +344,38 @@ class FiberPiece:
         return hash((self.orbit, self.subtorus.basis))
 
 
+def fiber_equation(
+    m: ToricMorphism, gamma: OrbitIndex, coset: TorusElement
+) -> tuple[IntMatrix, tuple[Fraction, ...], CosetSolution | NoRationalPoint | Inconsistent]:
+    """The coset equation of the fiber over the point of gamma's orbit with
+    this coset: chi^u(m(t)) == chi^u(coset) for the characters u vanishing
+    on span(gamma).  Returns its exponent matrix, its targets and its
+    solution; the equation is the same for every source orbit over gamma,
+    and the solution's kernel is the subtorus of every fiber piece."""
+    char_basis = gamma.cone.span_perp.basis
+    exponents = IntMatrix(char_basis, m.matrix.nrows) @ m.matrix
+    targets = tuple(coset.chi(u) for u in char_basis)
+    return exponents, targets, solve_torus_equation(exponents, targets)
+
+
 def fiber_pieces(m: ToricMorphism, y: OrbitPoint) -> tuple[FiberPiece, ...]:
     """The fiber of a toric morphism over a rational target point, as a
-    disjoint union of subtorus-coset pieces, one per solvable source orbit."""
+    disjoint union of subtorus-coset pieces, one per source orbit over y's
+    orbit when ``fiber_equation`` is solvable.  All pieces share one
+    representative coset, reduced modulo the solution's kernel once; an
+    orbit outside the image solves nothing."""
     if y.space != m.target:
         raise ValueError("target point does not live on the morphism's target")
-    gamma_orbit = y.orbit
-    char_basis = gamma_orbit.cone.span_perp  # characters vanishing on span(gamma)
-    basis_matrix = IntMatrix(char_basis.basis, m.matrix.nrows)
-    exponents = basis_matrix @ m.matrix
-    targets = tuple(y.coset.chi(u) for u in char_basis.basis)
-    # the coset equation is the same for every source orbit over gamma
-    sol = solve_torus_equation(exponents, targets)
-    pieces: list[FiberPiece] = []
-    src = system_view(m.source)
-    for orbit in src.orbits():
-        if m.orbit_assignment[orbit] != gamma_orbit:
-            continue
-        if isinstance(sol, Inconsistent):
-            continue
-        if isinstance(sol, NoRationalPoint):
-            pieces.append(
-                FiberPiece(
-                    orbit,
-                    sol.kernel,
-                    ParametricCoset(orbit, exponents, targets, sol.kernel),
-                )
-            )
-            continue
-        rep_coords = sol.kernel.coset_reduce(sol.representative)
-        rep = OrbitPoint.make(m.source, orbit, TorusElement(rep_coords))
-        pieces.append(FiberPiece(orbit, sol.kernel, rep))
-    return tuple(pieces)
+    orbits = [o for o, g in m.orbit_assignment.items() if g == y.orbit]
+    if not orbits:
+        return ()
+    exponents, targets, sol = fiber_equation(m, y.orbit, y.coset)
+    if isinstance(sol, Inconsistent):
+        return ()
+    if isinstance(sol, NoRationalPoint):
+        return tuple(
+            FiberPiece(o, sol.kernel, ParametricCoset(o, exponents, targets, sol.kernel))
+            for o in orbits
+        )
+    rep = TorusElement(sol.kernel.coset_reduce(sol.representative))
+    return tuple(FiberPiece(o, sol.kernel, OrbitPoint.make(m.source, o, rep)) for o in orbits)

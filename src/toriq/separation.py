@@ -25,6 +25,7 @@ from typing import Sequence
 from .cones import Cone, image_cone
 from .fans import Fan, FanSystem, OrbitIndex, system_view
 from .intlinalg import (
+    Inconsistent,
     IntMatrix,
     IntVec,
     Sublattice,
@@ -36,6 +37,7 @@ from .intlinalg import (
 from .morphisms import (
     ToricMorphism,
     complement_codim,
+    fiber_equation,
     fiber_pieces,
     image_constructible,
     limit_table,
@@ -43,7 +45,7 @@ from .morphisms import (
     orbit_limit_targets,  # noqa: F401  re-exported; perfbench's tracer patches this alias
     toric_morphism,
 )
-from .points import OrbitPoint, TorusElement, act, distinguished_point
+from .points import TorusElement, act, distinguished_point
 
 
 # ---------------------------------------------------------------------------
@@ -146,18 +148,20 @@ def forced_identifications(system: FanSystem) -> IdentificationPartition:
     is sorted by ``OrbitIndex.sort_key``), so ``root_of``, ``members`` and
     ``lattice`` are lists and id order is orbit order.  The limit orbits of
     an (orbit, v) pair do not depend on the classes, so they are tabulated
-    once by ``limit_table`` from the charts' incidence masks.  Each sweep
-    visits the classes by their smallest orbit and the vectors in
-    lexicographic order, which fixes the events.  A step with one target
-    class whose lattice already contains the source class's lattice changes
-    nothing and is skipped; every other step merges classes or grows a
-    lattice, and is recorded as an event.  A class lattice changes only at
-    its events, each of which bumps the class's version, so the skip test is
-    remembered by (source, version, target, version) and reruns only after
-    an event (semi-naive evaluation).
+    once by ``limit_table`` from the charts' incidence masks; a merge joins
+    the rows of the merged classes, so a step reads its class's limits with
+    one lookup.  Each sweep visits the classes by their smallest orbit and
+    the vectors in lexicographic order, which fixes the events.  A step with
+    one target class whose lattice already contains the source class's
+    lattice changes nothing and is skipped; every other step merges classes
+    or grows a lattice, and is recorded as an event.  A class lattice changes
+    only at its events, each of which bumps the class's version, so the skip
+    test is remembered by (source, version, target, version) and reruns only
+    after an event (semi-naive evaluation).
     """
     orbits = system.orbits()
     vectors = _test_vectors(system)
+    # per class root, per vector: the sorted limit ids of the class's members
     limits = limit_table(system, vectors)
     root_of = list(range(len(orbits)))
     members = [[o] for o in root_of]  # empty once merged into another class
@@ -172,7 +176,7 @@ def forced_identifications(system: FanSystem) -> IdentificationPartition:
         for root in [r for r, ms in enumerate(members) if ms]:
             for k, v in enumerate(vectors):
                 root = root_of[root]
-                limit_ids = sorted({g for o in members[root] for g in limits[o][k]})
+                limit_ids = limits[root][k]
                 if not limit_ids:
                     continue
                 targets = sorted({root_of[g] for g in limit_ids})
@@ -193,6 +197,9 @@ def forced_identifications(system: FanSystem) -> IdentificationPartition:
                     members[new_root] += members[r]
                     members[r] = []
                 members[new_root].sort()
+                if len(targets) > 1:
+                    rows = zip(*(limits[r] for r in targets))
+                    limits[new_root] = [tuple(sorted(set().union(*col))) for col in rows]
                 lattice[new_root] = merged.saturate()
                 version[new_root] += 1
                 events.append(MergeEvent(v, source, tuple(orbits[g] for g in limit_ids)))
@@ -216,7 +223,11 @@ def partition_matches_fibers(
     Checks, per class: a single target orbit, and the class subtorus equal to
     the saturated preimage of the target orbit's isotropy lattice.  Checks,
     per fiber over a distinguished point: the piece list realizes exactly one
-    class, with matching subtorus lattices.
+    class, with matching subtorus lattices.  The fiber over the distinguished
+    point of gamma's orbit has one piece per source orbit sent to gamma when
+    ``fiber_equation`` at the identity coset is solvable, and none otherwise;
+    every piece's subtorus is the solution's kernel, so no piece and no
+    representative point is built.
     """
     if system_view(kappa.source) != system_view(part.system):
         raise ValueError("partition and morphism have different sources")
@@ -238,20 +249,20 @@ def partition_matches_fibers(
             (label, good,
              f"subtorus {'matches' if good else 'differs from'} fiber lattice over {_orbit_tag(gamma)}")
         )
-    fibers: dict[OrbitIndex, set[OrbitIndex]] = {}
+    # source orbits in orbit order, which is the order of a class's members
+    fibers: dict[OrbitIndex, list[OrbitIndex]] = {}
     for orbit, target in kappa.orbit_assignment.items():
-        fibers.setdefault(target, set()).add(orbit)
+        fibers.setdefault(target, []).append(orbit)
+    identity = TorusElement.identity(kappa.matrix.nrows)
     for target, sources in sorted(fibers.items(), key=lambda kv: kv[0].sort_key()):
         label = f"fiber over {_orbit_tag(target)}"
-        y = OrbitPoint.make(kappa.target, target, TorusElement.identity(kappa.matrix.nrows))
-        pieces = fiber_pieces(kappa, y)
-        piece_orbits = tuple(sorted((p.orbit for p in pieces), key=OrbitIndex.sort_key))
-        cls = class_by_orbits.get(piece_orbits)
-        if cls is None or set(piece_orbits) != sources:
+        _, _, sol = fiber_equation(kappa, target, identity)
+        cls = None if isinstance(sol, Inconsistent) else class_by_orbits.get(tuple(sources))
+        if cls is None:
             ok = False
             report.append((label, False, "fiber pieces do not form one class"))
             continue
-        good = all(p.subtorus == cls.subtorus for p in pieces)
+        good = sol.kernel == cls.subtorus
         ok = ok and good
         report.append(
             (label, good,
@@ -336,20 +347,21 @@ def verify_example() -> VerificationReport:
     )
 
     # 3. the four fiber shapes, at several translations
-    fiber_ok = True
+    failed = None
     for t in (
         TorusElement.identity(3),
         TorusElement((2, 3, 5)),
         TorusElement(("1/2", 7, -3)),
     ):
-        fiber_ok = fiber_ok and _check_fibers(ex, system, kappa, t)
+        shape = _check_fibers(ex, system, kappa, t)
+        if shape is not None:
+            failed = f"fiber over {shape} differs from the expected shape at translation {t!r}"
+            break
     checks.append(
         CheckResult(
             "fibers",
-            fiber_ok,
-            "all four fiber shapes reproduced at several translations"
-            if fiber_ok
-            else "a fiber differs from the expected shape",
+            failed is None,
+            failed or "all four fiber shapes reproduced at several translations",
         )
     )
 
@@ -419,61 +431,53 @@ def verify_example() -> VerificationReport:
     return VerificationReport(tuple(checks))
 
 
-def _check_fibers(ex, system: FanSystem, kappa: ToricMorphism, t: TorusElement) -> bool:
+def _check_fibers(ex, system: FanSystem, kappa: ToricMorphism, t: TorusElement) -> str | None:
+    """The first fiber shape (zero, rho1-rho3, tau1, delta) that differs
+    from the expected one at translation t, or None."""
     target = ex.target_fan
     zero = Cone.zero(3)
 
-    y0 = act(t, distinguished_point(target, zero))
-    pieces = fiber_pieces(kappa, y0)
-    if len(pieces) != 1:
-        return False
-    piece = pieces[0]
+    pieces = fiber_pieces(kappa, act(t, distinguished_point(target, zero)))
     if not (
-        piece.orbit.cone == zero
-        and piece.is_single_point
-        and piece.representative == act(t, distinguished_point(system, zero))
+        len(pieces) == 1
+        and pieces[0].orbit.cone == zero
+        and pieces[0].is_single_point
+        and pieces[0].representative == act(t, distinguished_point(system, zero))
     ):
-        return False
+        return "zero"
 
     for name in ("rho1", "rho2", "rho3"):
         ray = ex.cones[name]
         pieces = fiber_pieces(kappa, act(t, distinguished_point(target, ray)))
-        if len(pieces) != 1:
-            return False
-        piece = pieces[0]
         if not (
-            piece.orbit.cone == ray
-            and piece.is_single_point
-            and piece.subtorus == ray.span_lattice
-            and piece.representative == act(t, distinguished_point(system, ray))
+            len(pieces) == 1
+            and pieces[0].orbit.cone == ray
+            and pieces[0].is_single_point
+            and pieces[0].subtorus == ray.span_lattice
+            and pieces[0].representative == act(t, distinguished_point(system, ray))
         ):
-            return False
+            return name
 
     tau1 = ex.cones["tau1"]
     pieces = fiber_pieces(kappa, act(t, distinguished_point(target, tau1)))
-    want_k = tau1.span_lattice
-    if len(pieces) != 2:
-        return False
-    orbit_cones = {p.orbit.cone for p in pieces}
-    if orbit_cones != {tau1, ex.cones["rho4"]}:
-        return False
-    if not all(p.subtorus == want_k for p in pieces):
-        return False
-    for p in pieces:
-        probe = act(t, distinguished_point(system, p.orbit.cone))
-        if not p.contains(probe):
-            return False
+    if not (
+        len(pieces) == 2
+        and {p.orbit.cone for p in pieces} == {tau1, ex.cones["rho4"]}
+        and all(p.subtorus == tau1.span_lattice for p in pieces)
+        and all(p.contains(act(t, distinguished_point(system, p.orbit.cone))) for p in pieces)
+    ):
+        return "tau1"
 
     delta = ex.cones["delta"]
     pieces = fiber_pieces(kappa, distinguished_point(target, delta))
-    if len(pieces) != 1:
-        return False
-    piece = pieces[0]
-    return (
-        piece.orbit.cone == ex.cones["tau2"]
-        and piece.subtorus == Sublattice.full(3)
-        and piece.contains(act(t, distinguished_point(system, ex.cones["tau2"])))
-    )
+    if not (
+        len(pieces) == 1
+        and pieces[0].orbit.cone == ex.cones["tau2"]
+        and pieces[0].subtorus == Sublattice.full(3)
+        and pieces[0].contains(act(t, distinguished_point(system, ex.cones["tau2"])))
+    ):
+        return "delta"
+    return None
 
 
 def _partition_signature(part: IdentificationPartition):

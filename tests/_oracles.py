@@ -13,8 +13,9 @@ from math import gcd
 
 from toriq.cones import Cone, image_cone
 from toriq.fans import Fan, OrbitIndex, system_view
-from toriq.intlinalg import IntMatrix, dot, primitive
-from toriq.morphisms import IncompatibleMorphism, orbit_limit_targets
+from toriq.intlinalg import IntMatrix, Sublattice, dot, kernel_saturated, primitive
+from toriq.morphisms import IncompatibleMorphism, fiber_pieces, orbit_limit_targets
+from toriq.points import OrbitPoint, TorusElement
 from toriq.separation import IdentClass, IdentificationPartition, MergeEvent, _test_vectors
 
 
@@ -336,6 +337,68 @@ def dict_forced_identifications(system):
         key=lambda c: c.orbits[0].sort_key(),
     )
     return IdentificationPartition(system, tuple(classes), tuple(events))
+
+
+# ---------------------------------------------------------------------------
+# the fiber comparison through fiber pieces and representative points
+
+
+def quotient_saturated_preimage(m: IntMatrix, target: Sublattice) -> Sublattice:
+    """{v : m @ v in the Q-span of target} as the saturated kernel of the
+    quotient projection by the saturated target, composed with m."""
+    sat = target.saturate()
+    if sat.rank == target.ambient:
+        return Sublattice.full(m.ncols)
+    return kernel_saturated(sat.quotient_matrix() @ m)
+
+
+def piece_partition_matches_fibers(part, kappa):
+    """The classes-versus-fibers comparison that builds the fiber pieces,
+    with their representative points, over each target orbit's
+    distinguished point."""
+    def tag(o):
+        return f"(chart {o.chart}, rays {list(o.cone.rays)})"
+
+    if system_view(kappa.source) != system_view(part.system):
+        raise ValueError("partition and morphism have different sources")
+    report = []
+    ok = True
+    class_by_orbits = {cls.orbits: cls for cls in part.classes}
+    for cls in part.classes:
+        label = "class " + "+".join(tag(o) for o in cls.orbits)
+        targets = {kappa.orbit_assignment[o] for o in cls.orbits}
+        if len(targets) != 1:
+            ok = False
+            report.append((label, False, "members map to several target orbits"))
+            continue
+        gamma = next(iter(targets))
+        expected = quotient_saturated_preimage(kappa.matrix, gamma.cone.span_lattice)
+        good = cls.subtorus == expected
+        ok = ok and good
+        report.append(
+            (label, good,
+             f"subtorus {'matches' if good else 'differs from'} fiber lattice over {tag(gamma)}")
+        )
+    fibers = {}
+    for orbit, target in kappa.orbit_assignment.items():
+        fibers.setdefault(target, set()).add(orbit)
+    for target, sources in sorted(fibers.items(), key=lambda kv: kv[0].sort_key()):
+        label = f"fiber over {tag(target)}"
+        y = OrbitPoint.make(kappa.target, target, TorusElement.identity(kappa.matrix.nrows))
+        pieces = fiber_pieces(kappa, y)
+        piece_orbits = tuple(sorted((p.orbit for p in pieces), key=OrbitIndex.sort_key))
+        cls = class_by_orbits.get(piece_orbits)
+        if cls is None or set(piece_orbits) != sources:
+            ok = False
+            report.append((label, False, "fiber pieces do not form one class"))
+            continue
+        good = all(p.subtorus == cls.subtorus for p in pieces)
+        ok = ok and good
+        report.append(
+            (label, good,
+             "piece subtori match the class" if good else "piece subtori differ from the class")
+        )
+    return ok, report
 
 
 # ---------------------------------------------------------------------------

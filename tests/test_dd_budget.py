@@ -4,17 +4,22 @@ Faces of a pointed cone are built from their ray sets, each chart-pair
 intersection is computed once, and a morphism maps each face by its
 relative-interior point and looks the target face up by its rays, so none of
 these steps may rebuild a cone.  The identification fixpoint tests lattice
-containment only after an event changed a lattice.
+containment only after an event changed a lattice, and the fiber comparison
+solves one torus equation per target orbit and builds no point.
 """
 
 import pytest
 
-from toriq import cones
+from toriq import cones, intlinalg, morphisms
 from toriq.cones import Cone
 from toriq.fans import Fan, FanSystem
 from toriq.intlinalg import Sublattice
 from toriq.morphisms import ToricMorphism
-from toriq.separation import comparison_morphism, forced_identifications
+from toriq.separation import (
+    comparison_morphism,
+    forced_identifications,
+    partition_matches_fibers,
+)
 
 
 @pytest.fixture
@@ -114,3 +119,31 @@ def test_identification_tests_lattices_only_after_events(monkeypatch):
     part = forced_identifications(system)
     assert (len(part.classes), len(part.events)) == (31, 25)
     assert len(tests) == 325
+
+
+def test_fiber_comparison_solves_once_per_target_orbit(monkeypatch):
+    # torus-glued P^4 over its fan: 31 target orbits; building every fiber
+    # piece with its representative point made 183 coset reductions and
+    # 242 Smith normal forms
+    charts = projective_space_charts(4)
+    system, fan = FanSystem(charts), Fan(charts)
+    kappa = comparison_morphism(system, fan)
+    part = forced_identifications(system)
+    counts = {"coset_reduce": 0, "solve": 0, "snf": 0}
+
+    def counting(key, f):
+        def wrapped(*args):
+            counts[key] += 1
+            return f(*args)
+        return wrapped
+
+    monkeypatch.setattr(Sublattice, "coset_reduce", counting("coset_reduce", Sublattice.coset_reduce))
+    monkeypatch.setattr(morphisms, "solve_torus_equation", counting("solve", morphisms.solve_torus_equation))
+    monkeypatch.setattr(intlinalg, "smith_normal_form", counting("snf", intlinalg.smith_normal_form))
+    ok, _ = partition_matches_fibers(part, kappa)
+    assert ok and len(set(kappa.orbit_assignment.values())) == 31
+    assert counts["coset_reduce"] == 0
+    assert counts["solve"] <= 31
+    # per class: one perp and one kernel (the zero cone's perp and the five
+    # full cones' kernels need none); per fiber: one solve
+    assert counts["snf"] == 87

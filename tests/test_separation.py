@@ -5,11 +5,13 @@ from fractions import Fraction
 import pytest
 
 from toriq.cones import Cone
-from toriq.fans import Fan, FanSystem, GluingViolation, build_fan, build_fan_system
+from toriq.fans import Fan, FanSystem, GluingViolation, OrbitIndex, build_fan, build_fan_system
 from toriq.intlinalg import IntMatrix, Sublattice, invariant_factors
 from toriq.morphisms import IncompatibleMorphism, one_param_limits, toric_morphism
 from toriq.points import TorusElement, act, torus_point
 from toriq.separation import (
+    IdentClass,
+    IdentificationPartition,
     _test_vectors,
     comparison_morphism,
     forced_identifications,
@@ -22,6 +24,7 @@ from toriq.separation import (
 from _oracles import (
     all_meets_test_vectors,
     dict_forced_identifications,
+    piece_partition_matches_fibers,
     random_fan,
     random_torus,
 )
@@ -272,6 +275,26 @@ def test_verify_example_names_failed_class(monkeypatch):
     assert check.detail == "classes and fibers disagree at class (chart 0, rays [])"
 
 
+def test_verify_example_names_failed_fiber(monkeypatch, ex):
+    import toriq.separation as sep
+
+    real = sep.fiber_pieces
+    rho2 = ex.cones["rho2"]
+
+    def tampered(m, y):
+        # the fiber over rho2 goes missing away from the identity coset
+        if y.orbit.cone == rho2 and y.coset != TorusElement.identity(3):
+            return ()
+        return real(m, y)
+
+    monkeypatch.setattr(sep, "fiber_pieces", tampered)
+    check = verify_example().checks[2]
+    assert check.name == "fibers" and not check.passed
+    assert check.detail == (
+        "fiber over rho2 differs from the expected shape at translation (2, 3, 5)"
+    )
+
+
 def test_separated_variant_behaviour(ex):
     # a separated two-chart system: limits are unique, the partition is
     # trivial, and the comparison morphism is injective on orbits
@@ -447,3 +470,61 @@ def test_forced_identifications_match_dict_oracle():
         assert part.events == expected.events
         merged += any(len(c.orbits) > 1 for c in part.classes)
     assert merged > 20  # the random fans are separated and merge nothing
+
+
+def merged_and_replaced(part):
+    """Two tampered copies of a partition: its first two classes merged, and
+    its first class's subtorus replaced."""
+    a, b, *rest = part.classes
+    orbits = tuple(sorted(a.orbits + b.orbits, key=OrbitIndex.sort_key))
+    merged = IdentClass(orbits, (a.subtorus + b.subtorus).saturate())
+    full = Sublattice.full(part.system.rank)
+    other = a.orbits[0].cone.span_lattice if a.subtorus == full else full
+    return [
+        IdentificationPartition(part.system, (merged, *rest), part.events),
+        IdentificationPartition(part.system, (IdentClass(a.orbits, other), b, *rest), part.events),
+    ]
+
+
+def test_partition_matches_fibers_match_piece_oracle(ex):
+    # the comparison by one fiber equation per target orbit against the one
+    # that builds every fiber piece and its representative point
+    rng = random.Random(83)
+    point_fan = Fan([Cone.zero(0)])
+    p1 = build_fan([ray1(), Cone.from_generators([(-1,)], 1)])
+    plane, _ = project_prevariety(
+        build_fan([Cone.from_generators([(1, 0)], 2), Cone.from_generators([(0, 1)], 2)]),
+        IntMatrix([[1, 1]]),
+    )
+    p3 = torus_glued_projective_space(3)[1]
+    cases = [(ex.system, ex.kappa), (plane, comparison_morphism(plane, build_fan([ray1()])))]
+    for n in (2, 3, 4, 5):
+        system, fan = torus_glued_projective_space(n)
+        cases.append((system, comparison_morphism(system, fan)))
+    for _ in range(20):
+        fan = random_fan(rng, max_rank=3)
+        for system in (fan.as_system(), FanSystem(fan.maximal_cones)):
+            cases.append((system, comparison_morphism(system, fan)))
+    for system in random_torus_glued_systems(rng, 20):
+        n = system.rank
+        cases.append((system, toric_morphism(IntMatrix([], n), system, point_fan)))
+        row = IntMatrix([[rng.randint(-2, 2) for _ in range(n)]], n)
+        try:
+            cases.append((system, toric_morphism(row, system, p1)))
+        except IncompatibleMorphism:
+            pass
+    cases += [(system, comparison_morphism(system, p3)) for system in partial_p3_gluings()]
+    checks = [(forced_identifications(system), kappa) for system, kappa in cases]
+    # tampered inputs: a collapsing morphism, merged classes, a replaced subtorus
+    for part, kappa in checks[:6]:
+        checks += [(bad, kappa) for bad in merged_and_replaced(part)]
+    checks.append((checks[0][0], toric_morphism(IntMatrix([], 3), ex.system, point_fan)))
+    passed = []
+    for part, kappa in checks:
+        got = partition_matches_fibers(part, kappa)
+        assert got == piece_partition_matches_fibers(part, kappa)
+        passed.append(got[0])
+    # the example, the plane, P^2-P^5 and the random fans pass; so do the
+    # partial P^3 gluings, and every tampered input fails
+    assert all(passed[:46]) and not any(passed[-13:])
+    assert sum(passed) == 59 and passed.count(False) > 30
