@@ -237,7 +237,9 @@ def _run(scene: Scene, args) -> tuple[dict, int]:
         }, 0
     if cmd == "classify":
         c = scene.cone(args.cone)
-        loc = c.classify(_csv_ints(args.vec))
+        v = _csv_ints(args.vec)
+        _check_rank("--vec", args.vec, v, c.ambient)
+        loc = c.classify(v)
         result = {"kind": loc.kind}
         if loc.face is not None:
             result["face"] = _s_cone(scene, loc.face)

@@ -200,14 +200,10 @@ class Cone:
 
     # -- basic geometry -----------------------------------------------------
 
-    @property
+    @cached_property
     def span_lattice(self) -> Sublattice:
         """Saturated lattice spanned by the cone (the isotropy lattice N_sigma)."""
-        cached = getattr(self, "_span", None)
-        if cached is None:
-            cached = self.span_perp.perp()
-            object.__setattr__(self, "_span", cached)
-        return cached
+        return self.span_perp.perp()
 
     @property
     def dim(self) -> int:
@@ -309,19 +305,33 @@ class Cone:
         A face is an intersection of facet incidence masks (``incidence``);
         one cone is built per distinct ray mask.
         """
+        return self._faces
+
+    @cached_property
+    def _faces(self) -> tuple["Cone", ...]:
         if not self.is_pointed:
             raise ValueError("face enumeration requires a pointed cone")
-        cached = getattr(self, "_faces", None)
-        if cached is not None:
-            return cached
         masks = {(1 << len(self.rays)) - 1}
         for z in self.incidence:
             masks |= {m & z for m in masks}
         found = [self._face_of_rays(r for k, r in enumerate(self.rays) if m >> k & 1)
                  for m in masks]
-        out = tuple(sorted(found, key=lambda c: (c.dim, c.rays)))
-        object.__setattr__(self, "_faces", out)
-        return out
+        return tuple(sorted(found, key=lambda c: (c.dim, c.rays)))
+
+    @cached_property
+    def _semigroup(self) -> tuple[IntVec, ...]:
+        """The generators of ``semigroup_generators``, kept with the cone."""
+        lin = self.lineality
+        if self.dim == 0:
+            return ()
+        if lin.rank == 0:
+            return tuple(sorted(_hilbert_basis_pointed(self)))
+        qmat = lin.quotient_matrix()
+        cbar = Cone.from_generators([qmat.apply(r) for r in self.rays], qmat.nrows)
+        lift = lin.lift_matrix()
+        lifted = [lin.reduce(lift.apply(h)) for h in _hilbert_basis_pointed(cbar)]
+        extra = [x for b in lin.basis for x in (b, vec_neg(b))]
+        return tuple(sorted(set(lifted + extra)))
 
     def is_face_of(self, other: "Cone") -> bool:
         """Is this cone a face of ``other``?"""
@@ -425,26 +435,7 @@ def semigroup_generators(c: Cone) -> tuple[IntVec, ...]:
     Hilbert basis of the pointed quotient (lifted) together with +/- a basis
     of the lineality lattice.
     """
-    cached = getattr(c, "_semigroup", None)
-    if cached is not None:
-        return cached
-    lin = c.lineality
-    if c.dim == 0:
-        out: tuple[IntVec, ...] = ()
-    elif lin.rank == 0:
-        out = tuple(sorted(_hilbert_basis_pointed(c)))
-    else:
-        qmat = lin.quotient_matrix()
-        cbar = Cone.from_generators([qmat.apply(r) for r in c.rays], qmat.nrows)
-        lift = lin.lift_matrix()
-        lifted = [lin.reduce(lift.apply(h)) for h in _hilbert_basis_pointed(cbar)]
-        extra = []
-        for b in lin.basis:
-            extra.append(b)
-            extra.append(vec_neg(b))
-        out = tuple(sorted(set(lifted + extra)))
-    object.__setattr__(c, "_semigroup", out)
-    return out
+    return c._semigroup
 
 
 def _hilbert_basis_pointed(c: Cone) -> list[IntVec]:

@@ -18,11 +18,8 @@ from dataclasses import dataclass
 from .cones import Cone
 from .fans import Fan, FanSystem
 from .intlinalg import IntMatrix, IntVec, Sublattice
-from .morphisms import ToricMorphism, toric_morphism
-
-
-def _unit(i: int, n: int) -> tuple[int, ...]:
-    return tuple(1 if j == i else 0 for j in range(n))
+from .morphisms import ToricMorphism
+from .scene import builtin_scene
 
 
 @dataclass(frozen=True)
@@ -43,86 +40,54 @@ class ExampleData:
 
 
 def build_example() -> ExampleData:
-    sigma1 = Cone.from_generators([_unit(0, 4), _unit(1, 4)], 4)
-    sigma2 = Cone.from_generators([_unit(2, 4), _unit(3, 4)], 4)
-    source = Fan([sigma1, sigma2])
-
-    e1, e2, e3 = _unit(0, 3), _unit(1, 3), _unit(2, 3)
-    delta = Cone.from_generators([e1, e2, e3], 3)
-    target = Fan([delta])
-
-    tau1 = Cone.from_generators([e1, e2], 3)
-    tau2 = Cone.from_generators([e3, (1, 1, 0)], 3)
-    rho1 = Cone.from_generators([e1], 3)
-    rho2 = Cone.from_generators([e2], 3)
-    rho3 = Cone.from_generators([e3], 3)
-    rho4 = Cone.from_generators([(1, 1, 0)], 3)
-    zero3 = Cone.zero(3)
-    system = FanSystem([tau1, tau2], {(0, 1): zero3})
-
-    pmat = IntMatrix([[1, 0, 0, 1], [0, 1, 0, 1], [0, 0, 1, 0]])
-    weight = (1, 1, 0, -1)
-    pi = toric_morphism(pmat, source, target)
-    pi_tilde = toric_morphism(pmat, source, system)
-    kappa = toric_morphism(IntMatrix.identity(3), system, target)
-
-    cones = {
-        "sigma1": sigma1,
-        "sigma2": sigma2,
-        "tau1": tau1,
-        "tau2": tau2,
-        "rho1": rho1,
-        "rho2": rho2,
-        "rho3": rho3,
-        "rho4": rho4,
-        "delta": delta,
-        "zero3": zero3,
-    }
-
-    expected_present = (zero3, rho1, rho2, rho3, tau1, delta)
-    expected_absent = (
-        Cone.from_generators([e1, e3], 3),
-        Cone.from_generators([e2, e3], 3),
-    )
+    """The objects of ``SCENE`` and the results the verification expects."""
+    scene = builtin_scene()
+    cones = scene.cones
+    e1, e2, e3 = IntMatrix.identity(3).rows
 
     def sig(members, basis_rows):
-        lattice = Sublattice.from_rows(3, basis_rows)
         return (
-            tuple(sorted((chart, cone.rays) for chart, cone in members)),
-            lattice.basis,
+            tuple(sorted((chart, cones[name].rays) for chart, name in members)),
+            Sublattice.from_rows(3, basis_rows).basis,
         )
 
     expected_partition = tuple(
         sorted(
             [
-                sig([(0, zero3)], []),
-                sig([(0, rho1)], [e1]),
-                sig([(0, rho2)], [e2]),
-                sig([(1, rho3)], [e3]),
-                sig([(0, tau1), (1, rho4)], [e1, e2]),
-                sig([(1, tau2)], [e1, e2, e3]),
+                sig([(0, "zero3")], []),
+                sig([(0, "rho1")], [e1]),
+                sig([(0, "rho2")], [e2]),
+                sig([(1, "rho3")], [e3]),
+                sig([(0, "tau1"), (1, "rho4")], [e1, e2]),
+                sig([(1, "tau2")], [e1, e2, e3]),
             ]
         )
     )
 
     return ExampleData(
-        lattice_map=pmat,
-        weight=weight,
-        source_fan=source,
-        target_fan=target,
-        system=system,
-        pi=pi,
-        pi_tilde=pi_tilde,
-        kappa=kappa,
+        lattice_map=scene.maps["P"],
+        weight=scene.weights["action"],
+        source_fan=scene.fans["Delta"],
+        target_fan=scene.fans["C3"],
+        system=scene.systems["Ytilde"],
+        pi=scene.morphisms["pi"],
+        pi_tilde=scene.morphisms["pitilde"],
+        kappa=scene.morphisms["kappa"],
         cones=cones,
-        expected_present=expected_present,
-        expected_absent=expected_absent,
+        expected_present=tuple(
+            cones[n] for n in ("zero3", "rho1", "rho2", "rho3", "tau1", "delta")
+        ),
+        expected_absent=(
+            Cone.from_generators([e1, e3], 3),
+            Cone.from_generators([e2, e3], 3),
+        ),
         expected_partition=expected_partition,
         limit_vector=(1, 1, 0),
     )
 
 
-# The same data as a scene document (the CLI's built-in scene).
+# The example as a scene document: the CLI's built-in scene and the one
+# source of ``build_example``; ``scenes/example.json`` is its export.
 SCENE: dict = {
     "lattices": {"N4": 4, "N3": 3},
     "cones": {

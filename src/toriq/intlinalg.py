@@ -18,6 +18,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from math import gcd
 from typing import Iterable, Sequence
 
@@ -33,20 +34,12 @@ def vec(values: Iterable[int]) -> IntVec:
     return tuple(int(x) for x in values)
 
 
-def vec_add(a: Sequence[int], b: Sequence[int]) -> IntVec:
-    return tuple(x + y for x, y in zip(a, b, strict=True))
-
-
 def vec_sub(a: Sequence[int], b: Sequence[int]) -> IntVec:
     return tuple(x - y for x, y in zip(a, b, strict=True))
 
 
 def vec_neg(a: Sequence[int]) -> IntVec:
     return tuple(-x for x in a)
-
-
-def vec_scale(c: int, a: Sequence[int]) -> IntVec:
-    return tuple(c * x for x in a)
 
 
 def dot(a: Sequence[int], b: Sequence[int]) -> int:
@@ -181,9 +174,6 @@ class IntMatrix:
                 a[i][k] = 0
             prev = a[k][k]
         return sign * a[n - 1][n - 1]
-
-    def is_unimodular(self) -> bool:
-        return self.nrows == self.ncols and abs(self.det()) == 1
 
     def rank(self) -> int:
         return rank_of_rows(self.rows)
@@ -478,43 +468,34 @@ class Sublattice:
 
     # -- quotient structure (saturated lattices only) -----------------------
 
+    @cached_property
     def _quotient_data(self) -> tuple[IntMatrix, IntMatrix]:
         """(V, W = V^-1) from the SNF of the basis; the first ``rank`` rows of
         W form a basis of the lattice and the rest complete it to Z^n."""
-        cached = getattr(self, "_qcache", None)
-        if cached is not None:
-            return cached
         v = IntMatrix.identity(self.ambient)
         if self.basis:
             d, _, v = smith_normal_form(self.matrix())
             if any(d.rows[i][i] != 1 for i in range(self.rank)):
                 raise ValueError("quotient structure requires a saturated lattice")
-        w = v.inverse_unimodular()
-        object.__setattr__(self, "_qcache", (v, w))
-        return v, w
-
-    def quotient_map(self, x: Sequence[int]) -> IntVec:
-        """Image of x in Z^n / L, as coordinates in Z^(n - rank)."""
-        v, _ = self._quotient_data()
-        coords = tuple(dot(x, v.column(l)) for l in range(self.ambient))
-        return coords[self.rank:]
+        return v, v.inverse_unimodular()
 
     def quotient_matrix(self) -> IntMatrix:
-        """Matrix of ``quotient_map`` acting on column vectors."""
-        v, _ = self._quotient_data()
+        """The projection Z^n -> Z^n / L, in coordinates of Z^(n - rank),
+        acting on column vectors."""
+        v, _ = self._quotient_data
         return IntMatrix(tuple(v.column(l) for l in range(self.rank, self.ambient)),
                          self.ambient)
 
     def lift_matrix(self) -> IntMatrix:
         """n x (n - rank) matrix whose columns lift the unit vectors of
         Z^n / L to Z^n (a section of ``quotient_matrix``)."""
-        _, w = self._quotient_data()
+        _, w = self._quotient_data
         return IntMatrix(w.rows[self.rank:], self.ambient).transpose()
 
     def coset_reduce(self, t: Sequence[Fraction]) -> FracVec:
         """Canonical representative of t modulo the subtorus with cocharacter
         lattice L (requires L saturated)."""
-        v, w = self._quotient_data()
+        v, w = self._quotient_data
         if len(t) != self.ambient:
             raise ValueError("torus element has wrong rank")
         that = [monomial_value(v.column(l), t) for l in range(self.ambient)]
@@ -538,11 +519,6 @@ def _snf_kernel(d: IntMatrix, v: IntMatrix) -> Sublattice:
     at the zero diagonal entries of D."""
     cols = [v.column(j) for j in range(v.ncols) if j >= d.nrows or d.rows[j][j] == 0]
     return Sublattice.from_rows(v.ncols, cols)
-
-
-def image_lattice(m: IntMatrix) -> Sublattice:
-    """The lattice spanned by the columns of m (not saturated in general)."""
-    return Sublattice.from_rows(m.nrows, m.columns())
 
 
 def saturated_preimage(m: IntMatrix, target: Sublattice) -> Sublattice:

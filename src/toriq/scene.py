@@ -94,12 +94,6 @@ class Scene:
                 return name
         return None
 
-    def space_name(self, space) -> str | None:
-        for name, s in sorted(self.fans.items()) + sorted(self.systems.items()):
-            if s == space:
-                return name
-        return None
-
 
 def load_scene(source) -> Scene:
     """Load and validate a scene from a path, JSON text, or a dict."""

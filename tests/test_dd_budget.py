@@ -8,6 +8,8 @@ containment only after an event changed a lattice, and the fiber comparison
 solves one torus equation per target orbit and builds no point.
 """
 
+from fractions import Fraction
+
 import pytest
 
 from toriq import cones, intlinalg, morphisms
@@ -124,7 +126,8 @@ def test_identification_tests_lattices_only_after_events(monkeypatch):
 def test_fiber_comparison_solves_once_per_target_orbit(monkeypatch):
     # torus-glued P^4 over its fan: 31 target orbits; building every fiber
     # piece with its representative point made 183 coset reductions and
-    # 242 Smith normal forms
+    # 242 Smith normal forms, and a separate saturated preimage per class
+    # made 87
     charts = projective_space_charts(4)
     system, fan = FanSystem(charts), Fan(charts)
     kappa = comparison_morphism(system, fan)
@@ -144,6 +147,34 @@ def test_fiber_comparison_solves_once_per_target_orbit(monkeypatch):
     assert ok and len(set(kappa.orbit_assignment.values())) == 31
     assert counts["coset_reduce"] == 0
     assert counts["solve"] <= 31
-    # per class: one perp and one kernel (the zero cone's perp and the five
-    # full cones' kernels need none); per fiber: one solve
-    assert counts["snf"] == 87
+    # one solve per target orbit, read by the class and the fiber checks
+    assert counts["snf"] == 31
+
+
+def test_second_call_reads_the_cache(monkeypatch):
+    # the warm per-object caches that repeated queries rely on: a second
+    # call does no work and returns the identical object
+    counts = {"face": 0, "hilbert": 0, "snf": 0}
+
+    def counting(key, f):
+        def wrapped(*args):
+            counts[key] += 1
+            return f(*args)
+        return wrapped
+
+    monkeypatch.setattr(Cone, "_face_of_rays", counting("face", Cone._face_of_rays))
+    monkeypatch.setattr(cones, "_hilbert_basis_pointed",
+                        counting("hilbert", cones._hilbert_basis_pointed))
+    monkeypatch.setattr(intlinalg, "smith_normal_form",
+                        counting("snf", intlinalg.smith_normal_form))
+    c = Cone.from_generators([(1, 0, 0), (0, 1, 0), (1, 1, 3)], 3)
+    d, face = c.dual(), Cone.from_generators([(1, 0, 0), (1, 1, 3)], 3)
+    lattice, t = face.span_lattice, (Fraction(2), Fraction(3), Fraction(5))
+    first = (c.faces(), cones.semigroup_generators(d), lattice, lattice.coset_reduce(t))
+    assert counts["face"] and counts["hilbert"] and counts["snf"]
+    counts.update(face=0, hilbert=0, snf=0)
+    second = (c.faces(), cones.semigroup_generators(d), face.span_lattice,
+              face.span_lattice.coset_reduce(t))
+    assert counts == {"face": 0, "hilbert": 0, "snf": 0}
+    assert all(a is b for a, b in zip(first[:3], second[:3]))
+    assert first[3] == second[3]

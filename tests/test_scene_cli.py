@@ -23,17 +23,20 @@ from toriq.scene import (
 
 
 def test_builtin_scene_matches_example_objects(ex):
+    # the paper's example, written out apart from SCENE: the source cones,
+    # the two charts, the lattice map, the weight and the point t235
     scene = builtin_scene()
     assert scene.lattices == {"N4": 4, "N3": 3}
-    for name, cone in ex.cones.items():
-        if name in scene.cones:
-            assert scene.cones[name] == cone
-    assert scene.fans["Delta"] == ex.source_fan
-    assert scene.fans["C3"] == ex.target_fan
-    assert scene.systems["Ytilde"] == ex.system
-    assert scene.maps["P"] == ex.lattice_map
-    assert scene.weights["action"] == ex.weight
-    assert scene.points["t235"].coset.coords == (2, 3, 5)
+    assert ex.cones["sigma1"].rays == ((0, 1, 0, 0), (1, 0, 0, 0))
+    assert ex.cones["sigma2"].rays == ((0, 0, 0, 1), (0, 0, 1, 0))
+    assert ex.cones["tau1"].rays == ((0, 1, 0), (1, 0, 0))
+    assert ex.cones["tau2"].rays == ((0, 0, 1), (1, 1, 0))
+    assert ex.system.charts == (ex.cones["tau1"], ex.cones["tau2"])
+    assert ex.lattice_map.rows == ((1, 0, 0, 1), (0, 1, 0, 1), (0, 0, 1, 0))
+    assert ex.weight == (1, 1, 0, -1)
+    t235 = scene.points["t235"]
+    assert t235.space == ex.system and t235.orbit.cone.dim == 0
+    assert t235.coset.coords == (2, 3, 5)
 
 
 def test_shipped_scene_file_matches_builtin():
@@ -267,8 +270,9 @@ def test_cli_unknown_entity_exit_2(capsys):
     [
         (["fibers", "--morphism", "kappa", "--point", "tau1@2,3"], "--point", "tau1@2,3"),
         (["limits", "--system", "Ytilde", "--v", "1,1", "--point", "tau1"], "--v", "1,1"),
+        (["classify", "--cone", "tau1", "--vec", "1,2"], "--vec", "1,2"),
     ],
-    ids=["fibers-point", "limits-v"],
+    ids=["fibers-point", "limits-v", "classify-vec"],
 )
 def test_cli_wrong_rank_argument_exit_2(argv, arg, value):
     src = Path(__file__).resolve().parent.parent / "src"
