@@ -11,9 +11,11 @@ A cone built from generators takes two description passes: generators ->
 inequalities gives the facet normals (these are the canonical extreme rays
 of the dual cone), and inequalities -> generators gives the canonical rays.
 Duality is then a pure swap of the stored data.  A face of a pointed cone is
-built from its ray set alone, with no description pass: its facets are read
-off the parent's facet normals.  The faces are the intersections of facet
-incidence sets (Kaibel-Pfetsch), so each distinct face is built once.
+a ray mask: the faces are the intersections of facet incidence masks
+(Kaibel-Pfetsch), and the smallest face holding a point is the AND of the
+masks of the facet normals tight there.  A face is built from its mask with
+no description pass (its facets are read off the parent's facet normals),
+and each distinct face is built once.
 """
 
 from __future__ import annotations
@@ -245,10 +247,7 @@ class Cone:
 
     def relint_point(self) -> IntVec:
         """A canonical lattice point in the relative interior (sum of rays)."""
-        out = [0] * self.ambient
-        for r in self.rays:
-            out = [x + y for x, y in zip(out, r)]
-        return tuple(out)
+        return self.mask_point((1 << len(self.rays)) - 1)
 
     def classify(self, v: Sequence[int]) -> "PointClassification":
         v = vec(v)
@@ -259,64 +258,90 @@ class Cone:
         values = [dot(u, v) for u in self.facet_normals]
         if any(x < 0 for x in values):
             return PointClassification.outside()
-        tight = [u for u, x in zip(self.facet_normals, values) if x == 0]
-        if not tight:
+        if all(values):
             return PointClassification.relint()
+        if self.is_pointed:
+            return PointClassification.on_face(self._faces_by_mask[self.face_mask(v)])
+        tight = [u for u, x in zip(self.facet_normals, values) if x == 0]
         return PointClassification.on_face(self._face_from_tight(tight))
 
-    def _face_from_tight(self, tight_normals: Sequence[IntVec]) -> "Cone":
-        rays = [
-            r
-            for r in self.rays
-            if all(dot(u, r) == 0 for u in tight_normals)
-        ]
-        if self.is_pointed:
-            return self._face_of_rays(rays)
-        gens = list(rays)
-        for b in self.lineality.basis:
-            gens.append(b)
-            gens.append(vec_neg(b))
-        return Cone.from_generators(gens, self.ambient)
+    # -- faces as ray masks: bit k stands for rays[k] -------------------------
 
-    def _face_of_rays(self, rays: Iterable[IntVec]) -> "Cone":
-        """The face of this pointed cone spanned by some of its rays, built
-        with no description pass.  A facet of the face is cut out by every
-        parent facet normal whose zero set on the rays has rank dim - 1."""
-        rays = tuple(sorted(rays))
+    def _zero_mask(self, u: Sequence[int]) -> int:
+        """The rays on which the dual vector u vanishes."""
+        return sum(1 << k for k, r in enumerate(self.rays) if dot(u, r) == 0)
+
+    @cached_property
+    def incidence(self) -> tuple[int, ...]:
+        """Per facet normal, the rays it vanishes on."""
+        return tuple(map(self._zero_mask, self.facet_normals))
+
+    def face_mask(self, v: Sequence[int]) -> int:
+        """The smallest face holding the point v of this cone: the AND of the
+        ``incidence`` masks of the facet normals tight at v."""
+        mask = (1 << len(self.rays)) - 1
+        for u, z in zip(self.facet_normals, self.incidence):
+            if dot(u, v) == 0:
+                mask &= z
+        return mask
+
+    @cached_property
+    def face_masks(self) -> frozenset[int]:
+        """The masks of all faces of a pointed cone: the intersections of
+        facet incidence masks (Kaibel-Pfetsch)."""
+        if not self.is_pointed:
+            raise ValueError("face enumeration requires a pointed cone")
+        masks = {(1 << len(self.rays)) - 1}
+        for z in self.incidence:
+            masks |= {m & z for m in masks}
+        return frozenset(masks)
+
+    def mask_point(self, mask: int) -> IntVec:
+        """A lattice point in the relative interior of the face with this
+        mask: the sum of its rays."""
+        return tuple(map(sum, zip((0,) * self.ambient, *self._rays_of(mask))))
+
+    def _rays_of(self, mask: int) -> tuple[IntVec, ...]:
+        return tuple(r for k, r in enumerate(self.rays) if mask >> k & 1)
+
+    def _face_of_mask(self, mask: int) -> "Cone":
+        """The face of this pointed cone with the given ray mask, built with
+        no description pass.  A facet of the face is cut out by every parent
+        facet normal whose zero set on the rays has rank dim - 1."""
+        rays = self._rays_of(mask)
         span_perp = Sublattice.from_rows(self.ambient, rays).perp()
         dim = self.ambient - span_perp.rank
         normals = [
-            u for u in self.facet_normals
-            if rank_of_rows([r for r in rays if dot(u, r) == 0]) == dim - 1
+            u for u, z in zip(self.facet_normals, self.incidence)
+            if rank_of_rows(self._rays_of(mask & z)) == dim - 1
         ]
         return Cone(
             self.ambient, rays, self.lineality, _canonical_rays(normals, span_perp), span_perp
         )
 
     @cached_property
-    def incidence(self) -> tuple[int, ...]:
-        """Per facet normal, the rays it vanishes on: bit k stands for rays[k]."""
-        return tuple(sum(1 << k for k, r in enumerate(self.rays) if dot(u, r) == 0)
-                     for u in self.facet_normals)
+    def _faces_by_mask(self) -> dict[int, "Cone"]:
+        return {m: self._face_of_mask(m) for m in self.face_masks}
 
     def faces(self) -> tuple["Cone", ...]:
-        """All faces of a pointed cone, ordered by (dim, generators).
-
-        A face is an intersection of facet incidence masks (``incidence``);
-        one cone is built per distinct ray mask.
-        """
+        """All faces of a pointed cone, ordered by (dim, generators); one
+        cone is built per face mask."""
         return self._faces
 
     @cached_property
     def _faces(self) -> tuple["Cone", ...]:
-        if not self.is_pointed:
-            raise ValueError("face enumeration requires a pointed cone")
-        masks = {(1 << len(self.rays)) - 1}
-        for z in self.incidence:
-            masks |= {m & z for m in masks}
-        found = [self._face_of_rays(r for k, r in enumerate(self.rays) if m >> k & 1)
-                 for m in masks]
-        return tuple(sorted(found, key=lambda c: (c.dim, c.rays)))
+        return tuple(sorted(self._faces_by_mask.values(), key=lambda c: (c.dim, c.rays)))
+
+    def _face_from_tight(self, tight: Sequence[IntVec]) -> "Cone":
+        """The face on which the dual vectors ``tight`` vanish.  They are
+        nonnegative on the cone, so on a pointed cone it is the face whose
+        rays are those on which their sum vanishes."""
+        if self.is_pointed:
+            total = tuple(map(sum, zip((0,) * self.ambient, *tight)))
+            return self._faces_by_mask[self._zero_mask(total)]
+        gens = [r for r in self.rays if all(dot(u, r) == 0 for u in tight)]
+        gens += [x for b in self.lineality.basis for x in (b, vec_neg(b))]
+        return Cone.from_generators(gens, self.ambient)
 
     @cached_property
     def _semigroup(self) -> tuple[IntVec, ...]:
@@ -337,15 +362,14 @@ class Cone:
         """Is this cone a face of ``other``?"""
         if not other.contains_cone(self):
             return False
+        if other.is_pointed:
+            # then this cone is pointed, and its rays sum to a relative-interior point
+            return self.rays == other._rays_of(other.face_mask(self.relint_point()))
         tight = [
             u
             for u in other.facet_normals
             if all(dot(u, g) == 0 for g in self.generators())
         ]
-        if other.is_pointed:
-            return self.rays == tuple(
-                r for r in other.rays if all(dot(u, r) == 0 for u in tight)
-            )
         return other._face_from_tight(tight) == self
 
     def intersect(self, other: "Cone") -> "Cone":

@@ -9,7 +9,9 @@ prevariety.
 
 Orbits are indexed by (chart, face) pairs; two pairs denote the same orbit
 exactly when the face is contained in the gluing cone of the chart pair.
-Each orbit also has an integer id, its position in ``FanSystem.orbits()``.
+Each orbit has an integer id, its position in ``FanSystem.orbits()``, and
+in every chart that realizes it a face is its ray mask: every orbit lookup
+reads the one index from ids to (chart, mask) pairs and back.
 """
 
 from __future__ import annotations
@@ -19,7 +21,7 @@ from functools import cached_property
 from typing import Iterable, Mapping, Sequence
 
 from .cones import Cone
-from .intlinalg import IntVec, vec
+from .intlinalg import vec
 
 
 class FanViolation(ValueError):
@@ -130,68 +132,66 @@ class FanSystem:
         A face f of chart i is the same orbit in every chart j whose gluing
         cone with i holds f's rays.  Gluing cones are faces of both charts
         and transitive, so this is already an equivalence; the orbit is
-        represented in its first chart.  In chart j the face is also known by
-        its ray mask (bit k for ``charts[j].rays[k]``), and ``orbit_masks`` and
-        ``orbit_of_mask`` map ids to (chart, mask) pairs and back.
+        represented in its first chart.  In chart j the face is its ray mask
+        (bit k for ``charts[j].rays[k]``), and ``orbit_masks`` and
+        ``orbit_of_mask`` map ids to (chart, mask) pairs and back: they are
+        the one orbit index every lookup reads.
         """
         m = len(self.charts)
         glued = [[set(self.gluing_cone(i, j).rays) for j in range(m)] for i in range(m)]
-        bit = [{r: 1 << k for k, r in enumerate(c.rays)} for c in self.charts]
+        self._bit = [{r: 1 << k for k, r in enumerate(c.rays)} for c in self.charts]
         found = []
         for i, chart in enumerate(self.charts):
             for f in chart.faces():
                 js = [j for j in range(m) if glued[i][j].issuperset(f.rays)]
                 if js[0] == i:
-                    masks = [(j, sum(bit[j][r] for r in f.rays)) for j in js]
+                    masks = [(j, sum(self._bit[j][r] for r in f.rays)) for j in js]
                     found.append((OrbitIndex(i, f), masks))
         found.sort(key=lambda t: t[0].sort_key())
         self._orbits = tuple(o for o, _ in found)
         self.orbit_id = {o: n for n, o in enumerate(self._orbits)}
         self.orbit_masks = tuple(tuple(masks) for _, masks in found)
         self.orbit_of_mask: list[dict[int, int]] = [{} for _ in range(m)]
-        self._rep_of_pair: dict[tuple[int, tuple[IntVec, ...]], OrbitIndex] = {}
-        self._orbits_of_rays: dict[tuple[IntVec, ...], set[OrbitIndex]] = {}
-        self._realizations: dict[OrbitIndex, tuple[tuple[int, Cone], ...]] = {}
-        for n, (o, masks) in enumerate(found):
-            self._realizations[o] = tuple((j, o.cone) for j, _ in masks)
-            self._orbits_of_rays.setdefault(o.cone.rays, set()).add(o)
+        for n, masks in enumerate(self.orbit_masks):
             for j, mask in masks:
                 self.orbit_of_mask[j][mask] = n
-                self._rep_of_pair[j, o.cone.rays] = o
 
     # -- orbit bookkeeping ---------------------------------------------------
 
+    def _id_in_chart(self, chart: int, face: Cone) -> int | None:
+        """The orbit id of a face of the chart, looked up by its ray mask;
+        None when there is no such chart or the cone is not a face of it."""
+        if chart not in range(len(self.charts)) or face.ambient != self.rank:
+            return None
+        bit = self._bit[chart]
+        if not face.is_pointed or not all(r in bit for r in face.rays):
+            return None
+        return self.orbit_of_mask[chart].get(sum(bit[r] for r in face.rays))
+
     def orbit(self, chart: int, face: Cone) -> OrbitIndex:
         """Canonical orbit index of a face of the given chart."""
-        if face.ambient != self.rank or not face.is_pointed:
+        n = self._id_in_chart(chart, face)
+        if n is None:
             raise ValueError(f"cone is not a face of chart {chart}")
-        return self.orbit_of_rays(chart, face.rays)
-
-    def orbit_of_rays(self, chart: int, rays: Sequence[IntVec]) -> OrbitIndex:
-        """Orbit of the chart face spanned by the given (sorted) chart rays."""
-        rep = self._rep_of_pair.get((chart, tuple(rays)))
-        if rep is None:
-            raise ValueError(f"cone is not a face of chart {chart}")
-        return rep
+        return self._orbits[n]
 
     def orbits(self) -> tuple[OrbitIndex, ...]:
         return self._orbits
 
     def realizations(self, orbit: OrbitIndex) -> tuple[tuple[int, Cone], ...]:
         """All (chart id, face) pairs denoting this orbit."""
-        return self._realizations[orbit]
+        return tuple((j, orbit.cone) for j, _ in self.orbit_masks[self.orbit_id[orbit]])
 
     def orbit_of_cone(self, cone: Cone) -> OrbitIndex:
         """The unique orbit whose cone equals the given one; error if absent
         or ambiguous (distinct unglued copies)."""
-        face = cone.ambient == self.rank and cone.is_pointed
-        hits = self._orbits_of_rays.get(cone.rays, set()) if face else set()
+        hits = {self._id_in_chart(i, cone) for i in range(len(self.charts))} - {None}
         if not hits:
             raise ValueError("no orbit with the given cone")
         if len(hits) > 1:
             raise ValueError("several distinct orbits share this cone; "
                              "specify the chart")
-        return next(iter(hits))
+        return self._orbits[hits.pop()]
 
     # -- identity ------------------------------------------------------------
 
@@ -288,19 +288,18 @@ class Fan:
         return any(c == f for f in self.all_cones)
 
     def minimal_cone_containing(self, target: Cone | Sequence[int]) -> Cone | None:
-        """The unique smallest fan cone containing the target, or None."""
+        """The unique smallest fan cone containing the target, or None.  Fan
+        cones meet in common faces, so it is the smallest face of the first
+        maximal cone that holds the target, read off the face mask of the
+        target's relative-interior point."""
         if isinstance(target, Cone):
-            candidates = [c for c in self.all_cones if c.contains_cone(target)]
+            point = target.relint_point()
+            hosts = (c for c in self.maximal_cones if c.contains_cone(target))
         else:
-            v = vec(target)
-            candidates = [c for c in self.all_cones if c.contains_point(v)]
-        if not candidates:
-            return None
-        best = min(candidates, key=lambda c: (c.dim, c.rays))
-        for c in candidates:
-            if not c.contains_cone(best):
-                raise AssertionError("fan validity violated: minimal cone not unique")
-        return best
+            point = vec(target)
+            hosts = (c for c in self.maximal_cones if c.contains_point(point))
+        host = next(hosts, None)
+        return None if host is None else host._faces_by_mask[host.face_mask(point)]
 
     def support_contains(self, v: Sequence[int]) -> bool:
         v = vec(v)

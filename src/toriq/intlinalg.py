@@ -521,18 +521,6 @@ def _snf_kernel(d: IntMatrix, v: IntMatrix) -> Sublattice:
     return Sublattice.from_rows(v.ncols, cols)
 
 
-def saturated_preimage(m: IntMatrix, target: Sublattice) -> Sublattice:
-    """{v : m @ v lies in the Q-span of target}, saturated.
-
-    Computed as the kernel of m followed by the characters vanishing on
-    target, which cut out the Q-span.
-    """
-    perp = target.perp()
-    if not perp.basis:
-        return Sublattice.full(m.ncols)
-    return kernel_saturated(perp.matrix() @ m)
-
-
 # ---------------------------------------------------------------------------
 # monomial equation solving
 

@@ -78,26 +78,20 @@ class ToricMorphism:
                 raise IncompatibleMorphism(chart)
             self.chart_assignment.append(pick)
         # the minimal target face containing the image of a source face is the
-        # one holding the image of its relative-interior point in its own
-        # relative interior: the rays on which the tight facet normals vanish
+        # smallest face of its target chart holding the image of the source
+        # face's relative-interior point; both faces are ray masks
         self.orbit_assignment: dict[OrbitIndex, OrbitIndex] = {}
-        for orbit in src.orbits():
-            assigned: OrbitIndex | None = None
-            for i, face in src.realizations(orbit):
+        for orbit, reals in zip(src.orbits(), src.orbit_masks):
+            targets = set()
+            for i, mask in reals:
                 j = self.chart_assignment[i]
-                p = matrix.apply(face.relint_point())
-                tight = [u for u in tgt.charts[j].facet_normals if dot(u, p) == 0]
-                rays = [r for r in tgt.charts[j].rays if all(dot(u, r) == 0 for u in tight)]
-                tgt_orbit = tgt.orbit_of_rays(j, rays)
-                if assigned is None:
-                    assigned = tgt_orbit
-                elif assigned != tgt_orbit:
-                    raise IncompatibleMorphism(
-                        orbit.cone,
-                        "chart realizations assign the orbit to different targets",
-                    )
-            assert assigned is not None
-            self.orbit_assignment[orbit] = assigned
+                p = matrix.apply(src.charts[i].mask_point(mask))
+                targets.add(tgt.orbit_of_mask[j][tgt.charts[j].face_mask(p)])
+            if len(targets) > 1:
+                raise IncompatibleMorphism(
+                    orbit.cone, "chart realizations assign the orbit to different targets"
+                )
+            self.orbit_assignment[orbit] = tgt.orbits()[targets.pop()]
 
     def __repr__(self) -> str:
         return f"ToricMorphism({self.matrix.nrows}x{self.matrix.ncols})"

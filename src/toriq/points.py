@@ -176,13 +176,8 @@ class ToricPoint:
         if set(values) != set(gens):
             raise ValueError("values must be given exactly on the dual semigroup generators")
         nonzero = sorted(u for u, x in values.items() if x != 0)
-        face = Cone.from_inequalities(
-            chart.facet_normals,
-            list(chart.span_perp.basis) + nonzero,
-            chart.ambient,
-        )
-        if not face.is_face_of(chart):
-            raise ValueError("vanishing set does not cut out a face of the chart")
+        # characters of the dual semigroup always cut out a face
+        face = chart._face_from_tight(nonzero)
         span = face.span_lattice
         for u, x in values.items():
             on_perp = all(dot(u, b) == 0 for b in span.basis)

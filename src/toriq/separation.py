@@ -120,22 +120,17 @@ class IdentificationPartition:
 
 def _test_vectors(system: FanSystem) -> tuple[IntVec, ...]:
     """One primitive relative-interior representative per face of every
-    chart and of every pairwise chart intersection.  A meet that is a face of
-    one of its charts adds no face, so its faces are skipped."""
+    chart and of every pairwise chart intersection, read off the face masks.
+    A meet that is a face of one of its charts adds no face, so its faces
+    are skipped."""
     charts = system.charts
-    cones: list[Cone] = []
-    for chart in charts:
-        cones.extend(chart.faces())
+    cones = list(charts)
     for i in range(len(charts)):
         for j in range(i + 1, len(charts)):
             meet = system.meet(i, j)
             if not (meet.is_face_of(charts[i]) or meet.is_face_of(charts[j])):
-                cones.extend(meet.faces())
-    out = set()
-    for c in cones:
-        if c.dim > 0:
-            out.add(primitive(c.relint_point()))
-    return tuple(sorted(out))
+                cones.append(meet)
+    return tuple(sorted({primitive(c.mask_point(m)) for c in cones for m in c.face_masks if m}))
 
 
 def forced_identifications(system: FanSystem) -> IdentificationPartition:

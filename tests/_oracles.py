@@ -184,6 +184,14 @@ def dd_face_from_tight(c: Cone, tight) -> Cone:
     return Cone.from_generators(gens, c.ambient)
 
 
+def dd_face_from_values(chart: Cone, nonzero) -> Cone:
+    """The face of a chart on which the given characters of its dual
+    semigroup vanish: the chart meet their perp, by description passes."""
+    return Cone.from_inequalities(
+        chart.facet_normals, list(chart.span_perp.basis) + list(nonzero), chart.ambient
+    )
+
+
 def dd_is_face_of(a: Cone, b: Cone) -> bool:
     """Is a a face of b?  a must lie in b and equal the face of b cut out by
     the normals of b that vanish on a, built by ``dd_face_from_tight``."""
@@ -245,6 +253,16 @@ def scan_orbit_of_cone(sys, cone: Cone) -> OrbitIndex:
 
 def _minimal_containing(cones, sub: Cone) -> Cone:
     return min((c for c in cones if c.contains_cone(sub)), key=lambda c: (c.dim, c.rays))
+
+
+def scan_minimal_cone_containing(fan: Fan, target) -> Cone | None:
+    """The smallest cone of the fan containing a cone or a vector, by testing
+    every fan cone; None when none does."""
+    if isinstance(target, Cone):
+        hosts = [c for c in fan.all_cones if c.contains_cone(target)]
+    else:
+        hosts = [c for c in fan.all_cones if c.contains_point(target)]
+    return min(hosts, key=lambda c: (c.dim, c.rays), default=None)
 
 
 def scan_orbit_assignment(matrix: IntMatrix, source, target) -> dict:

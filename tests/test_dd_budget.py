@@ -1,11 +1,14 @@
 """How many double description (DD) passes the quotient check runs.
 
-Faces of a pointed cone are built from their ray sets, each chart-pair
+Faces of a pointed cone are built from their ray masks, each chart-pair
 intersection is computed once, and a morphism maps each face by its
-relative-interior point and looks the target face up by its rays, so none of
-these steps may rebuild a cone.  The identification fixpoint tests lattice
-containment only after an event changed a lattice, and the fiber comparison
-solves one torus equation per target orbit and builds no point.
+relative-interior point and looks the target face up by its ray mask, so
+none of these steps may rebuild a cone.  A point given by its character
+values finds its face in the chart's face table, and the test vectors are
+read off face masks, so no face of a chart-pair intersection is built.  The
+identification fixpoint tests lattice containment only after an event
+changed a lattice, and the fiber comparison solves one torus equation per
+target orbit and builds no point.
 """
 
 from fractions import Fraction
@@ -17,6 +20,7 @@ from toriq.cones import Cone
 from toriq.fans import Fan, FanSystem
 from toriq.intlinalg import Sublattice
 from toriq.morphisms import ToricMorphism
+from toriq.points import ToricPoint, TorusElement
 from toriq.separation import (
     comparison_morphism,
     forced_identifications,
@@ -106,6 +110,38 @@ def test_comparison_morphism_scans_no_face(monkeypatch):
     assert scans == []
 
 
+def test_from_values_on_a_pointed_chart_runs_no_dd_pass(calls):
+    # a full-dimensional chart: its dual is pointed, so the dual's Hilbert
+    # basis runs no description pass either
+    chart = projective_space_charts(3)[0]
+    ray = chart.faces()[1]
+    toric = ToricPoint.from_orbit(chart, ray, TorusElement((2, 3, 5)))
+    calls["dd"] = 0
+    rebuilt = ToricPoint.from_values(chart, toric.value_map())
+    assert calls["dd"] == 0
+    assert rebuilt == toric and rebuilt.face == ray and ray.dim == 1
+
+
+def test_identification_builds_no_face_of_a_chart_pair_meet(monkeypatch):
+    # two overlapping charts glued along the torus: their meet is a face of
+    # neither, and its face masks give the test vectors
+    charts = [Cone.from_generators(g, 2) for g in ([(1, 0), (1, 2)], [(0, 1), (1, 1)])]
+    system = FanSystem(charts)
+    meet = system.meet(0, 1)
+    assert not (meet.is_face_of(charts[0]) or meet.is_face_of(charts[1]))
+    built = []
+    face_of_mask = Cone._face_of_mask
+
+    def counting(self, mask):
+        built.append(self)
+        return face_of_mask(self, mask)
+
+    monkeypatch.setattr(Cone, "_face_of_mask", counting)
+    part = forced_identifications(system)
+    assert len(part.events) > 0
+    assert built == []
+
+
 def test_identification_tests_lattices_only_after_events(monkeypatch):
     # torus-glued P^4: 31 classes, 25 events; rerunning the skip test at
     # every step made 7,050 containment tests
@@ -162,7 +198,7 @@ def test_second_call_reads_the_cache(monkeypatch):
             return f(*args)
         return wrapped
 
-    monkeypatch.setattr(Cone, "_face_of_rays", counting("face", Cone._face_of_rays))
+    monkeypatch.setattr(Cone, "_face_of_mask", counting("face", Cone._face_of_mask))
     monkeypatch.setattr(cones, "_hilbert_basis_pointed",
                         counting("hilbert", cones._hilbert_basis_pointed))
     monkeypatch.setattr(intlinalg, "smith_normal_form",

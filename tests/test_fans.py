@@ -14,7 +14,12 @@ from toriq.fans import (
     minimal_cone_containing,
 )
 
-from _oracles import dd_transitivity_failure, random_fan, scan_orbit_of_cone
+from _oracles import (
+    dd_transitivity_failure,
+    random_fan,
+    scan_minimal_cone_containing,
+    scan_orbit_of_cone,
+)
 
 E1, E2, E3 = (1, 0, 0), (0, 1, 0), (0, 0, 1)
 
@@ -74,17 +79,33 @@ def test_minimal_cone_containing_vector(ex):
 
 
 def test_minimal_cone_uniqueness_random():
+    # vectors, fan cones and cones spanned inside a maximal cone, against
+    # the scan over every fan cone
     rng = random.Random(31)
+    found = {"vector": 0, "cone": 0, "none": 0}
     for _ in range(15):
         fan = random_fan(rng)
-        for _ in range(10):
-            v = tuple(rng.randint(-4, 4) for _ in range(fan.rank))
-            got = fan.minimal_cone_containing(v)
-            candidates = [c for c in fan.all_cones if c.contains_point(v)]
-            if got is None:
-                assert not candidates
+        targets = [tuple(rng.randint(-4, 4) for _ in range(fan.rank)) for _ in range(10)]
+        targets += fan.all_cones
+        for c in fan.maximal_cones:
+            combos = [tuple(map(sum, zip(*rng.sample(c.rays, rng.randint(1, len(c.rays))))))
+                      for _ in range(2)]
+            targets.append(Cone.from_generators(combos, fan.rank))
+        for target in targets:
+            got = fan.minimal_cone_containing(target)
+            assert got == scan_minimal_cone_containing(fan, target)
+            if isinstance(target, Cone):
+                hosts = [c for c in fan.all_cones if c.contains_cone(target)]
             else:
-                assert all(c.contains_cone(got) for c in candidates)
+                hosts = [c for c in fan.all_cones if c.contains_point(target)]
+            if got is None:
+                assert not hosts
+                found["none"] += 1
+            else:
+                # every fan cone holding the target holds the smallest one
+                assert all(c.contains_cone(got) for c in hosts)
+                found["cone" if isinstance(target, Cone) else "vector"] += 1
+    assert min(found.values()) > 10
 
 
 # ---------------------------------------------------------------------------

@@ -19,12 +19,11 @@ from toriq.intlinalg import (
     monomial_value,
     rank_of_rows,
     reduce_mod_span,
-    saturated_preimage,
     smith_normal_form,
     solve_torus_equation,
 )
 
-from _oracles import minor_gcd, quotient_saturated_preimage, rational_nullspace
+from _oracles import minor_gcd, rational_nullspace
 
 P = IntMatrix([[1, 0, 0, 1], [0, 1, 0, 1], [0, 0, 1, 0]])
 
@@ -220,41 +219,6 @@ def test_coset_reduction_skew_lattice():
     assert lat.in_subtorus(ratio)
     # and is idempotent
     assert lat.coset_reduce(reduced) == reduced
-
-
-def test_saturated_preimage():
-    target = Sublattice.from_rows(3, [(1, 0, 0), (0, 1, 0)])
-    pre = saturated_preimage(P, target)
-    assert pre.rank == 3
-    for b in pre.basis:
-        img = P.apply(b)
-        assert target.contains_rational(img)
-
-
-def test_saturated_preimage_matches_quotient_route():
-    # one perp and one kernel against saturating the target and composing
-    # its quotient projection with m
-    rng = random.Random(89)
-    kinds = {"unsaturated": 0, "zero": 0, "full": 0}
-    for _ in range(150):
-        n, c = rng.randint(1, 4), rng.randint(1, 4)
-        m = IntMatrix([[rng.randint(-3, 3) for _ in range(c)] for _ in range(n)], c)
-        kind = rng.choice(sorted(kinds))
-        if kind == "zero":
-            target = Sublattice.zero(n)
-        else:
-            k = n if kind == "full" else rng.randint(1, n)
-            rows = [[rng.randint(-3, 3) for _ in range(n)] for _ in range(k)]
-            rows[0] = [2 * x for x in rows[0]]  # most such lattices are unsaturated
-            target = Sublattice.from_rows(n, rows)
-        kinds["zero"] += target.rank == 0
-        kinds["full"] += target.rank == n
-        kinds["unsaturated"] += not target.is_saturated()
-        pre = saturated_preimage(m, target)
-        assert pre == quotient_saturated_preimage(m, target)
-        if target.rank == n:
-            assert pre == Sublattice.full(c)
-    assert min(kinds.values()) > 20
 
 
 def test_reduce_mod_span():

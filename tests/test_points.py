@@ -14,7 +14,7 @@ from toriq.points import (
     torus_point,
 )
 
-from _oracles import random_torus
+from _oracles import dd_face_from_values, random_cone, random_torus
 
 
 # ---------------------------------------------------------------------------
@@ -116,6 +116,25 @@ def test_toric_point_roundtrip(ex):
     rebuilt = ToricPoint.from_values(toric.chart, toric.value_map())
     assert rebuilt == toric
     assert rebuilt.face == ex.cones["rho4"]
+
+
+def test_from_values_face_matches_dd_route():
+    # the face read off the chart's face masks against the chart meet the
+    # perp of the nonzero characters, built by description passes, on random
+    # pointed charts and on a half-plane with a line
+    rng = random.Random(53)
+    half_plane = Cone.from_generators([(1, 0, 0), (0, 1, 0), (0, -1, 0)], 3)
+    cases = [(half_plane, Cone.from_generators([(0, 1, 0), (0, -1, 0)], 3)), (half_plane, half_plane)]
+    while len(cases) < 120:
+        chart = random_cone(rng, max_rank=3, entry_bound=2)
+        if chart.is_pointed:
+            cases += [(chart, face) for face in chart.faces()]
+    for chart, face in cases:
+        p = ToricPoint.from_orbit(chart, face, random_torus(rng, chart.ambient))
+        got = ToricPoint.from_values(chart, p.value_map())
+        nonzero = [u for u, x in p.values if x != 0]
+        assert got.face == dd_face_from_values(chart, nonzero) == face
+        assert got == p and got.coset == p.coset
 
 
 def test_toric_point_multiplicativity(ex):

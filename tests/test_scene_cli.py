@@ -374,18 +374,41 @@ def test_malformed_scene_fields_exit_2(tmp_path, section, entity, field, value):
     doc = _bad_scene(section, entity, field, value)
     with pytest.raises(SceneParseError, match=entity):
         load_scene(doc)
-    path = tmp_path / "bad.json"
+    proc = _identify_on_scene(tmp_path, doc)
+    assert proc.returncode == 2
+    assert entity in proc.stderr
+    assert "Traceback" not in proc.stderr
+
+
+@pytest.mark.parametrize("chart", [-1, 2])
+def test_scene_point_chart_index_out_of_range_exits_2(tmp_path, chart):
+    # Ytilde has charts 0 and 1; index -1 must not wrap to chart 1, which
+    # has rho3 as a face
+    doc = json.loads(json.dumps(SCENE))
+    doc["points"]["q"] = {
+        "space": "Ytilde",
+        "orbit": {"chart": chart, "face": "rho3"},
+        "coset": ["2", "3", "5"],
+    }
+    message = f"cone is not a face of chart {chart}"
+    with pytest.raises(SceneValidationError, match=message):
+        load_scene(doc)
+    proc = _identify_on_scene(tmp_path, doc)
+    assert proc.returncode == 2
+    assert message in proc.stderr
+    assert "Traceback" not in proc.stderr
+
+
+def _identify_on_scene(tmp_path, doc):
+    path = tmp_path / "scene.json"
     path.write_text(json.dumps(doc))
     src = Path(__file__).resolve().parent.parent / "src"
-    proc = subprocess.run(
+    return subprocess.run(
         [sys.executable, "-m", "toriq", "--scene", str(path), "identify", "--system", "Ytilde"],
         capture_output=True,
         text=True,
         env={**os.environ, "PYTHONPATH": str(src)},
     )
-    assert proc.returncode == 2
-    assert entity in proc.stderr
-    assert "Traceback" not in proc.stderr
 
 
 @pytest.mark.parametrize("section, entity", [("fans", "C3"), ("systems", "Ytilde")])
