@@ -14,8 +14,11 @@ Duality is then a pure swap of the stored data.  A face of a pointed cone is
 a ray mask: the faces are the intersections of facet incidence masks
 (Kaibel-Pfetsch), and the smallest face holding a point is the AND of the
 masks of the facet normals tight there.  A face is built from its mask with
-no description pass (its facets are read off the parent's facet normals),
-and each distinct face is built once.
+no description pass (its facets are read off the parent's facet normals and
+a per-mask dimension table), on the first lookup of its mask, and once per
+mask.  An intersection takes one description pass on both cones' facet
+normals; a meet that is a face of a pointed operand is read off that
+operand's face table, and any other meet is canonicalised from generators.
 """
 
 from __future__ import annotations
@@ -261,7 +264,7 @@ class Cone:
         if all(values):
             return PointClassification.relint()
         if self.is_pointed:
-            return PointClassification.on_face(self._faces_by_mask[self.face_mask(v)])
+            return PointClassification.on_face(self._face(self.face_mask(v)))
         tight = [u for u, x in zip(self.facet_normals, values) if x == 0]
         return PointClassification.on_face(self._face_from_tight(tight))
 
@@ -304,16 +307,20 @@ class Cone:
     def _rays_of(self, mask: int) -> tuple[IntVec, ...]:
         return tuple(r for k, r in enumerate(self.rays) if mask >> k & 1)
 
+    @cached_property
+    def _mask_dims(self) -> dict[int, int]:
+        """Per face mask, the dimension of its face."""
+        return {m: rank_of_rows(self._rays_of(m)) for m in self.face_masks}
+
     def _face_of_mask(self, mask: int) -> "Cone":
         """The face of this pointed cone with the given ray mask, built with
         no description pass.  A facet of the face is cut out by every parent
-        facet normal whose zero set on the rays has rank dim - 1."""
-        rays = self._rays_of(mask)
+        facet normal whose zero set on the face's rays has dimension one less."""
+        rays, dims = self._rays_of(mask), self._mask_dims
         span_perp = Sublattice.from_rows(self.ambient, rays).perp()
-        dim = self.ambient - span_perp.rank
         normals = [
             u for u, z in zip(self.facet_normals, self.incidence)
-            if rank_of_rows(self._rays_of(mask & z)) == dim - 1
+            if dims[mask & z] == dims[mask] - 1
         ]
         return Cone(
             self.ambient, rays, self.lineality, _canonical_rays(normals, span_perp), span_perp
@@ -321,7 +328,14 @@ class Cone:
 
     @cached_property
     def _faces_by_mask(self) -> dict[int, "Cone"]:
-        return {m: self._face_of_mask(m) for m in self.face_masks}
+        """Face mask -> face; a face is built on the first lookup of its mask."""
+        return {}
+
+    def _face(self, mask: int) -> "Cone":
+        table = self._faces_by_mask
+        if mask not in table:
+            table[mask] = self._face_of_mask(mask)
+        return table[mask]
 
     def faces(self) -> tuple["Cone", ...]:
         """All faces of a pointed cone, ordered by (dim, generators); one
@@ -330,7 +344,7 @@ class Cone:
 
     @cached_property
     def _faces(self) -> tuple["Cone", ...]:
-        return tuple(sorted(self._faces_by_mask.values(), key=lambda c: (c.dim, c.rays)))
+        return tuple(sorted(map(self._face, self.face_masks), key=lambda c: (c.dim, c.rays)))
 
     def _face_from_tight(self, tight: Sequence[IntVec]) -> "Cone":
         """The face on which the dual vectors ``tight`` vanish.  They are
@@ -338,7 +352,7 @@ class Cone:
         rays are those on which their sum vanishes."""
         if self.is_pointed:
             total = tuple(map(sum, zip((0,) * self.ambient, *tight)))
-            return self._faces_by_mask[self._zero_mask(total)]
+            return self._face(self._zero_mask(total))
         gens = [r for r in self.rays if all(dot(u, r) == 0 for u in tight)]
         gens += [x for b in self.lineality.basis for x in (b, vec_neg(b))]
         return Cone.from_generators(gens, self.ambient)
@@ -373,13 +387,22 @@ class Cone:
         return other._face_from_tight(tight) == self
 
     def intersect(self, other: "Cone") -> "Cone":
+        """The intersection, by one description pass on both cones' facet
+        normals.  A meet that is a face of a pointed operand (and so pointed,
+        with canonical rays) is that operand's face from its face table."""
         if self.ambient != other.ambient:
             raise ValueError("rank mismatch")
-        return Cone.from_inequalities(
-            list(self.facet_normals) + list(other.facet_normals),
-            list(self.span_perp.basis) + list(other.span_perp.basis),
-            self.ambient,
-        )
+        ineqs = sorted(set(self.facet_normals + other.facet_normals))
+        eqs = self.span_perp.basis + other.span_perp.basis
+        rays, lines = _double_description(self.ambient, ineqs, eqs)
+        for c in (x for x in (self, other) if x.is_pointed):
+            bit = {r: 1 << k for k, r in enumerate(c.rays)}
+            if all(r in bit for r in rays):
+                mask = sum(map(bit.get, set(rays)))
+                if mask in c.face_masks:
+                    return c._face(mask)
+        gens = rays + [x for l in lines for x in (l, vec_neg(l))]
+        return Cone.from_generators(gens, self.ambient)
 
 
 @dataclass(frozen=True)

@@ -19,7 +19,7 @@ from .cones import Cone
 from .fans import Fan, FanSystem
 from .intlinalg import IntMatrix, IntVec, Sublattice
 from .morphisms import ToricMorphism
-from .scene import builtin_scene
+from .scene import Scene, builtin_scene
 
 
 @dataclass(frozen=True)
@@ -39,9 +39,10 @@ class ExampleData:
     limit_vector: IntVec
 
 
-def build_example() -> ExampleData:
-    """The objects of ``SCENE`` and the results the verification expects."""
-    scene = builtin_scene()
+def build_example(scene: Scene | None = None) -> ExampleData:
+    """The objects of ``SCENE`` and the results the verification expects;
+    ``scene`` is ``SCENE`` already loaded, if the caller has it."""
+    scene = builtin_scene() if scene is None else scene
     cones = scene.cones
     e1, e2, e3 = IntMatrix.identity(3).rows
 

@@ -142,15 +142,16 @@ class FanSystem:
         self._bit = [{r: 1 << k for k, r in enumerate(c.rays)} for c in self.charts]
         found = []
         for i, chart in enumerate(self.charts):
-            for f in chart.faces():
-                js = [j for j in range(m) if glued[i][j].issuperset(f.rays)]
+            for mask in chart.face_masks:
+                rays = chart._rays_of(mask)
+                js = [j for j in range(m) if glued[i][j].issuperset(rays)]
                 if js[0] == i:
-                    masks = [(j, sum(self._bit[j][r] for r in f.rays)) for j in js]
-                    found.append((OrbitIndex(i, f), masks))
-        found.sort(key=lambda t: t[0].sort_key())
-        self._orbits = tuple(o for o, _ in found)
+                    masks = [(j, sum(self._bit[j][r] for r in rays)) for j in js]
+                    found.append(((chart._mask_dims[mask], i, rays), mask, masks))
+        found.sort()  # (dim, chart, rays) is the order of OrbitIndex.sort_key
+        self._orbits = tuple(OrbitIndex(i, self.charts[i]._face(m)) for (_, i, _), m, _ in found)
         self.orbit_id = {o: n for n, o in enumerate(self._orbits)}
-        self.orbit_masks = tuple(tuple(masks) for _, masks in found)
+        self.orbit_masks = tuple(tuple(masks) for _, _, masks in found)
         self.orbit_of_mask: list[dict[int, int]] = [{} for _ in range(m)]
         for n, masks in enumerate(self.orbit_masks):
             for j, mask in masks:
@@ -273,13 +274,12 @@ class Fan:
         self.maximal_cones = tuple(
             sorted(seen.values(), key=lambda c: (c.dim, c.rays))
         )
-        all_faces: dict = {}
+        first: dict = {}  # one (cone, mask) per distinct ray set
         for c in self.maximal_cones:
-            for f in c.faces():
-                all_faces.setdefault(f.key(), f)
-        self.all_cones = tuple(
-            sorted(all_faces.values(), key=lambda c: (c.dim, c.rays))
-        )
+            for mask in c.face_masks:
+                first.setdefault(c._rays_of(mask), (c, mask))
+        faces = (c._face(mask) for c, mask in first.values())
+        self.all_cones = tuple(sorted(faces, key=lambda c: (c.dim, c.rays)))
         self._system: FanSystem | None = None
 
     # -- queries --------------------------------------------------------------
@@ -299,7 +299,7 @@ class Fan:
             point = vec(target)
             hosts = (c for c in self.maximal_cones if c.contains_point(point))
         host = next(hosts, None)
-        return None if host is None else host._faces_by_mask[host.face_mask(point)]
+        return None if host is None else host._face(host.face_mask(point))
 
     def support_contains(self, v: Sequence[int]) -> bool:
         v = vec(v)

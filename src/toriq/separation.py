@@ -44,6 +44,7 @@ from .morphisms import (
     toric_morphism,
 )
 from .points import TorusElement, act, distinguished_point
+from .scene import Scene
 
 
 # ---------------------------------------------------------------------------
@@ -288,12 +289,13 @@ class VerificationReport:
         return all(c.passed for c in self.checks)
 
 
-def verify_example() -> VerificationReport:
+def verify_example(scene: Scene | None = None) -> VerificationReport:
     """Run the full pipeline on the built-in quotient example and report the
-    seven structural checks."""
+    seven structural checks; ``scene`` is the built-in scene already loaded,
+    if the caller has it."""
     from . import example
 
-    ex = example.build_example()
+    ex = example.build_example(scene)
     checks: list[CheckResult] = []
 
     # 1. invariance of the quotient map under the given one-parameter action

@@ -192,6 +192,14 @@ def dd_face_from_values(chart: Cone, nonzero) -> Cone:
     )
 
 
+def dd_intersect(a: Cone, b: Cone) -> Cone:
+    """The intersection of two cones from both cones' facet normals and
+    ``span_perp`` bases, by three description passes."""
+    return Cone.from_inequalities(
+        a.facet_normals + b.facet_normals, a.span_perp.basis + b.span_perp.basis, a.ambient
+    )
+
+
 def dd_is_face_of(a: Cone, b: Cone) -> bool:
     """Is a a face of b?  a must lie in b and equal the face of b cut out by
     the normals of b that vanish on a, built by ``dd_face_from_tight``."""

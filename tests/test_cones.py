@@ -20,6 +20,7 @@ from _oracles import (
     brute_faces,
     brute_in_cone,
     dd_face_from_tight,
+    dd_intersect,
     dd_is_face_of,
     decomposes_in_monoid,
     fm_contains,
@@ -393,6 +394,45 @@ def test_intersect_brute_force():
         meet = intersect(a, b)
         for v in box(a.ambient, 2):
             assert meet.contains_point(v) == (a.contains_point(v) and b.contains_point(v))
+
+
+def test_intersect_matches_dd_oracle():
+    # one description pass, and a meet that is a face of a pointed operand
+    # is that operand's face-table entry; intersect(b, a) reads b's table first
+    rng = random.Random(46)
+    seen = {}
+
+    def check(kind, a, b):
+        for x, y in ((a, b), (b, a)):
+            meet = intersect(x, y)
+            assert _fields(meet) == _fields(dd_intersect(x, y)), (kind, x, y)
+            host = next((c for c in (x, y) if c.is_pointed and dd_is_face_of(meet, c)), None)
+            assert host is None or any(meet is f for f in host.faces()), (kind, x, y)
+            seen.setdefault(kind, set()).add(host is not None)
+        assert intersect(a, b) == intersect(b, a)
+
+    for c in _pointed_cones(46, 60):
+        n = c.ambient
+        other = Cone.from_generators(
+            [tuple(rng.randint(-3, 3) for _ in range(n)) for _ in range(3)], n
+        )
+        check("pointed", c, other)
+        check("pointed", c, Cone.from_generators(c.rays[1:] + other.rays[:1], n))
+        f = rng.choice(c.faces())
+        check("face", c, f)
+        check("lower", c, Cone.from_generators(f.rays + other.rays[:1], n))
+        check("lines", c, _with_line(rng, other))
+        check("lines", _with_line(rng, c), _with_line(rng, other))
+    # the diagonal of a square cone: rays of the square, but no face of it
+    square = Cone.from_generators([(1, 0, 1), (0, 1, 1), (-1, 0, 1), (0, -1, 1)], 3)
+    diagonal = Cone.from_generators([(1, 0, 1), (-1, 0, 1)], 3)
+    plane = Cone.from_generators([(1, 0, 0), (-1, 0, 0), (0, 0, 1), (0, 0, -1)], 3)
+    check("diagonal", square, diagonal)
+    check("diagonal", square, plane)
+    assert intersect(square, plane) == diagonal
+    assert not dd_is_face_of(diagonal, square)
+    assert seen["face"] == {True} and seen["diagonal"] == {True, False}
+    assert seen["pointed"] == seen["lower"] == seen["lines"] == {True, False}
 
 
 def test_image_cone_charts():

@@ -9,6 +9,13 @@ read off face masks, so no face of a chart-pair intersection is built.  The
 identification fixpoint tests lattice containment only after an event
 changed a lattice, and the fiber comparison solves one torus equation per
 target orbit and builds no point.
+
+An intersection is one DD pass, and a meet that is a face of a pointed
+operand is read off that operand's face table.  A face is built on the
+first lookup of its mask, once per cone, and an orbit index or a fan builds
+one face per orbit or per distinct ray set.  The pins are exact counts; each
+test's comment gives the larger count of the code that rebuilt meets and
+built every face of every chart, so each pin fails on that code.
 """
 
 from fractions import Fraction
@@ -30,19 +37,19 @@ from toriq.separation import (
 
 @pytest.fixture
 def calls(monkeypatch):
-    counts = {"dd": 0, "intersect": 0}
-    dd, intersect = cones._double_description, Cone.intersect
+    counts = {"dd": 0, "intersect": 0, "face": 0, "snf": 0}
 
-    def counting_dd(*args):
-        counts["dd"] += 1
-        return dd(*args)
+    def counting(key, f):
+        def wrapped(*args):
+            counts[key] += 1
+            return f(*args)
+        return wrapped
 
-    def counting_intersect(self, other):
-        counts["intersect"] += 1
-        return intersect(self, other)
-
-    monkeypatch.setattr(cones, "_double_description", counting_dd)
-    monkeypatch.setattr(Cone, "intersect", counting_intersect)
+    monkeypatch.setattr(cones, "_double_description", counting("dd", cones._double_description))
+    monkeypatch.setattr(Cone, "intersect", counting("intersect", Cone.intersect))
+    monkeypatch.setattr(Cone, "_face_of_mask", counting("face", Cone._face_of_mask))
+    monkeypatch.setattr(intlinalg, "smith_normal_form",
+                        counting("snf", intlinalg.smith_normal_form))
     return counts
 
 
@@ -67,13 +74,37 @@ def test_faces_run_no_dd_pass(calls):
     assert calls["dd"] == 0
 
 
+def test_fan_meets_read_off_the_face_tables(calls):
+    # 5 cones, 10 meets, 31 distinct cones; three DD passes per meet and
+    # every face of every cone built made 30 DD passes, 80 face builds and
+    # 95 Smith normal forms
+    charts = projective_space_charts(4)
+    calls.update(dd=0, intersect=0, face=0, snf=0)
+    fan = Fan(charts)
+    assert len(fan.all_cones) == 31 and calls["intersect"] == 10
+    assert (calls["dd"], calls["face"], calls["snf"]) == (10, 31, 30)
+
+
 def test_fan_system_and_identifications_meet_each_chart_pair_once(calls):
+    # rebuilding each meet and every chart face made 18 DD passes and 32
+    # face builds
     charts = projective_space_charts(3)
-    calls.update(dd=0, intersect=0)
+    calls.update(dd=0, intersect=0, face=0)
     system = Fan(charts).as_system()
     part = forced_identifications(system)
     assert system.separated and len(part.classes) == 15
     assert calls["intersect"] == 6
+    assert (calls["dd"], calls["face"]) == (6, 15)
+
+
+def test_orbit_index_builds_one_face_per_orbit(calls):
+    # torus-glued P^3: 29 orbits; building every face of every chart made
+    # 32 face builds
+    charts = projective_space_charts(3)
+    calls.update(dd=0, face=0)
+    system = FanSystem(charts)
+    assert len(system.orbits()) == 29
+    assert (calls["dd"], calls["face"]) == (0, 29)
 
 
 def test_comparison_morphism_builds_no_cone(calls):

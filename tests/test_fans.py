@@ -52,6 +52,24 @@ def test_fan_violation_on_interior_ray():
     assert err.value.indices == (0, 1)
 
 
+def test_fan_violation_names_the_first_bad_pair():
+    square = cone((1, 0, 1), (0, 1, 1), (-1, 0, 1), (0, -1, 1))
+    cases = [
+        # the meet is a face of the second cone only
+        ([cone((1, 0), (0, 1), rank=2), cone((1, 1), rank=2)], (0, 1)),
+        # the meet is half the square, cut along its diagonal: its rays are
+        # rays of the square, but it is a face of neither cone
+        ([cone(E1), square, cone((1, 0, 1), (-1, 0, 1), (0, -1, -1))], (1, 2)),
+        # the meet is the first cone, a ray through the square's interior
+        ([cone(E3), cone(E1, E2), square], (0, 2)),
+    ]
+    for cones, (i, j) in cases:
+        with pytest.raises(FanViolation) as err:
+            build_fan(cones)
+        assert err.value.indices == (i, j)
+        assert str(err.value) == f"cones {i} and {j} do not intersect in a common face"
+
+
 def test_fan_drops_redundant_face_cones():
     sigma = cone(E1, E2)
     fan = build_fan([sigma, cone(E1)])

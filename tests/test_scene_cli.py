@@ -171,6 +171,23 @@ def test_cli_verify_example(capsys):
     assert lines[-1].startswith("overall: PASS")
 
 
+def test_cli_verify_example_loads_the_scene_once(capsys, monkeypatch):
+    import toriq.scene
+
+    loads = []
+    real = toriq.scene.load_scene
+
+    def counting(source):
+        loads.append(source)
+        return real(source)
+
+    monkeypatch.setattr(toriq.scene, "load_scene", counting)
+    code, out, _ = run_cli(capsys, "--format", "json", "verify-example")
+    expected = Path(__file__).resolve().parent.parent / "perfbench" / "expected"
+    assert code == 0 and len(loads) == 1
+    assert out == (expected / "example-verify-example.json").read_text()
+
+
 def test_cli_limits_two_points(capsys):
     code, out, _ = run_cli(
         capsys, "limits", "--system", "Ytilde", "--v", "1,1,0", "--point", "torus:2,3,5"
