@@ -19,10 +19,26 @@ a per-mask dimension table), on the first lookup of its mask, and once per
 mask.  An intersection takes one description pass on both cones' facet
 normals; a meet that is a face of a pointed operand is read off that
 operand's face table, and any other meet is canonicalised from generators.
+
+Equal cones are built once while any copy is alive.  ``_CONES``, a
+``WeakValueDictionary``, maps ``Cone.key()`` to the live cone with that key,
+and ``(rank, sorted primitive generators)`` to the cone they generate: a
+``from_generators`` call with a known generator set returns the cone with no
+description pass, a new cone is swapped for a live equal one, and a face is
+looked up by its key before its orthogonal lattice is computed.  So a face
+shared by several charts, a fan's copy of a system's chart and each cone's
+lattices are computed once per check.  The memo holds its values weakly and
+adds no reference to any cone, so a cone lives exactly as long as a caller
+keeps it.  No cone may reach itself: a face table never holds the cone it
+belongs to (its full mask is the cone itself), and ``faces()`` builds its
+tuple on each call.  A cycle would keep a cone alive until the next garbage
+collection, and later work would reuse it or not depending on when the
+collector last ran.
 """
 
 from __future__ import annotations
 
+import weakref
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable, Sequence
@@ -152,14 +168,17 @@ class Cone:
                 raise ValueError(f"generator of length {len(g)} in rank {rank}")
             if not is_zero_vec(g):
                 gens.append(primitive(g))
-        gens = sorted(set(gens))
-        rays_d, lines_d = _double_description(rank, gens, [])
-        dual_lin = Sublattice.from_rows(rank, lines_d).saturate()
-        facets = _canonical_rays(rays_d, dual_lin)
-        rays_p, lines_p = _double_description(rank, facets, dual_lin.basis)
-        lin = Sublattice.from_rows(rank, lines_p).saturate()
-        rays = _canonical_rays(rays_p, lin)
-        return cls(rank, rays, lin, facets, dual_lin)
+        key = (rank, tuple(sorted(set(gens))))
+        cone = _CONES.get(key)
+        if cone is None:
+            rays_d, lines_d = _double_description(rank, key[1], [])
+            dual_lin = Sublattice.from_rows(rank, lines_d).saturate()
+            facets = _canonical_rays(rays_d, dual_lin)
+            rays_p, lines_p = _double_description(rank, facets, dual_lin.basis)
+            lin = Sublattice.from_rows(rank, lines_p).saturate()
+            cone = _canonical(cls(rank, _canonical_rays(rays_p, lin), lin, facets, dual_lin))
+            _CONES[key] = cone
+        return cone
 
     @classmethod
     def from_inequalities(
@@ -317,33 +336,38 @@ class Cone:
         no description pass.  A facet of the face is cut out by every parent
         facet normal whose zero set on the face's rays has dimension one less."""
         rays, dims = self._rays_of(mask), self._mask_dims
+        face = _CONES.get((self.ambient, rays, self.lineality.basis))
+        if face is not None:
+            return face
         span_perp = Sublattice.from_rows(self.ambient, rays).perp()
         normals = [
             u for u, z in zip(self.facet_normals, self.incidence)
             if dims[mask & z] == dims[mask] - 1
         ]
-        return Cone(
+        return _canonical(Cone(
             self.ambient, rays, self.lineality, _canonical_rays(normals, span_perp), span_perp
-        )
+        ))
 
     @cached_property
     def _faces_by_mask(self) -> dict[int, "Cone"]:
-        """Face mask -> face; a face is built on the first lookup of its mask."""
+        """Face mask -> proper face; a face is built on the first lookup of
+        its mask."""
         return {}
 
     def _face(self, mask: int) -> "Cone":
+        """The face with this mask.  The full mask gives the cone itself,
+        which the face table never holds: no cone may reach itself."""
+        if mask == (1 << len(self.rays)) - 1:
+            return self
         table = self._faces_by_mask
         if mask not in table:
             table[mask] = self._face_of_mask(mask)
         return table[mask]
 
     def faces(self) -> tuple["Cone", ...]:
-        """All faces of a pointed cone, ordered by (dim, generators); one
-        cone is built per face mask."""
-        return self._faces
-
-    @cached_property
-    def _faces(self) -> tuple["Cone", ...]:
+        """All faces of a pointed cone, ordered by (dim, generators), the
+        cone itself last; one cone is built per proper face mask.  The tuple
+        is built on each call, as it holds the cone itself."""
         return tuple(sorted(map(self._face, self.face_masks), key=lambda c: (c.dim, c.rays)))
 
     def _face_from_tight(self, tight: Sequence[IntVec]) -> "Cone":
@@ -432,6 +456,16 @@ class PointClassification:
     @property
     def is_relint(self) -> bool:
         return self.kind == "relint"
+
+
+# Cone.key() -> the live cone with that key, and (rank, sorted primitive
+# generators) -> the cone they generate; values are held weakly
+_CONES: "weakref.WeakValueDictionary[tuple, Cone]" = weakref.WeakValueDictionary()
+
+
+def _canonical(cone: Cone) -> Cone:
+    """The live cone equal to this one, registering it when there is none."""
+    return _CONES.setdefault(cone.key(), cone)
 
 
 def _canonical_rays(rays: Iterable[IntVec], lineality: Sublattice) -> tuple[IntVec, ...]:

@@ -11,11 +11,21 @@ Rank, rational span and ray reduction share one fraction-free elimination
 (``_echelon`` and ``_clear``); inverses of unimodular matrices come from the
 HNF transform.  ``fractions.Fraction`` appears only in torus coordinates:
 monomial values, coset reduction and the torus equation solver.
+
+``Sublattice.perp`` is memoised in ``_PERPS``, a ``WeakValueDictionary``
+keyed by the input's ``(ambient, basis)``: while the result of one perp is
+alive, an equal input gets that object back with no Smith normal form.  The
+memo holds its values weakly, so a lattice lives exactly as long as a caller
+keeps it, and nothing stores a perp on its input: a lattice and its perp
+that referred to each other would form a reference cycle, outlive the
+computation that built them until a garbage collection, and let later work
+reuse them or not depending on when the collector last ran.
 """
 
 from __future__ import annotations
 
 import itertools
+import weakref
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
@@ -223,11 +233,6 @@ def rank_of_rows(rows: Sequence[Sequence[int]]) -> int:
     return len(_echelon(rows))
 
 
-def in_rational_span(v: Sequence[int], rows: Sequence[Sequence[int]]) -> bool:
-    """Is v in the Q-span of the given rows?"""
-    return is_zero_vec(_clear(list(v), _echelon(rows)))
-
-
 def reduce_mod_span(v: Sequence[int], echelon_rows: Sequence[Sequence[int]]) -> IntVec:
     """Canonical primitive representative of the ray v modulo the Q-span of
     the given rows (for rows in row echelon / HNF order, the pivots are the
@@ -416,7 +421,7 @@ class Sublattice:
 
     @classmethod
     def full(cls, ambient: int) -> "Sublattice":
-        return cls.from_rows(ambient, IntMatrix.identity(ambient).rows)
+        return cls(ambient, IntMatrix.identity(ambient).rows)
 
     @property
     def rank(self) -> int:
@@ -425,11 +430,6 @@ class Sublattice:
     def matrix(self) -> IntMatrix:
         return IntMatrix(self.basis, self.ambient)
 
-    def is_saturated(self) -> bool:
-        if not self.basis:
-            return True
-        return all(f == 1 for f in invariant_factors(self.matrix()))
-
     def saturate(self) -> "Sublattice":
         """Smallest saturated sublattice containing this one ((L^perp)^perp)."""
         if not self.basis:
@@ -437,10 +437,17 @@ class Sublattice:
         return self.perp().perp()
 
     def perp(self) -> "Sublattice":
-        """The saturated lattice of integer vectors orthogonal to this one."""
-        if not self.basis:
-            return Sublattice.full(self.ambient)
-        return kernel_saturated(self.matrix())
+        """The saturated lattice of integer vectors orthogonal to this one,
+        one object per input while it is alive (see ``_PERPS``)."""
+        key = (self.ambient, self.basis)
+        out = _PERPS.get(key)
+        if out is None:
+            if self.basis:
+                out = kernel_saturated(self.matrix())
+            else:
+                out = Sublattice.full(self.ambient)
+            _PERPS[key] = out
+        return out
 
     def __add__(self, other: "Sublattice") -> "Sublattice":
         if self.ambient != other.ambient:
@@ -461,10 +468,6 @@ class Sublattice:
     def contains(self, v: Sequence[int]) -> bool:
         """Integral membership: v in the Z-span of the basis."""
         return is_zero_vec(self.reduce(v))
-
-    def contains_rational(self, v: Sequence[int]) -> bool:
-        """Membership of v in the Q-span of the basis."""
-        return in_rational_span(v, self.basis)
 
     # -- quotient structure (saturated lattices only) -----------------------
 
@@ -506,6 +509,10 @@ class Sublattice:
     def in_subtorus(self, t: Sequence[Fraction]) -> bool:
         """Is t in the subtorus with cocharacter lattice L (L saturated)?"""
         return all(x == 1 for x in self.coset_reduce(t))
+
+
+# (ambient, basis) of a lattice -> its perp; values are held weakly
+_PERPS: "weakref.WeakValueDictionary[tuple, Sublattice]" = weakref.WeakValueDictionary()
 
 
 def kernel_saturated(m: IntMatrix) -> Sublattice:

@@ -8,9 +8,12 @@ inequality descriptions, and bounded enumeration for semigroup membership.
 from __future__ import annotations
 
 import itertools
+import weakref
+from contextlib import contextmanager
 from fractions import Fraction
 from math import gcd
 
+from toriq import cones, intlinalg
 from toriq.cones import Cone, image_cone
 from toriq.fans import Fan, OrbitIndex, system_view
 from toriq.intlinalg import IntMatrix, Sublattice, dot, kernel_saturated, primitive
@@ -64,6 +67,22 @@ def rational_nullspace(rows: list[tuple[int, ...]], ncols: int) -> list[tuple[in
             g = gcd(g, x)
         basis.append(tuple(x // g for x in ints) if g > 1 else tuple(ints))
     return basis
+
+
+def in_rational_span(v: tuple[int, ...], rows) -> bool:
+    """Is v in the Q-span of the rows?  That span is the orthogonal
+    complement of the rows' rational nullspace."""
+    return all(dot(v, k) == 0 for k in rational_nullspace(list(rows), len(v)))
+
+
+def contains_rational(lattice: Sublattice, v: tuple[int, ...]) -> bool:
+    """Membership of v in the Q-span of the lattice."""
+    return in_rational_span(v, lattice.basis)
+
+
+def is_saturated(lattice: Sublattice) -> bool:
+    """A lattice of rank r is saturated iff its r x r minors have gcd 1."""
+    return lattice.rank == 0 or minor_gcd(lattice.matrix(), lattice.rank) == 1
 
 
 # ---------------------------------------------------------------------------
@@ -163,6 +182,21 @@ def decomposes_in_monoid(
 # faces, face tests, gluing checks and limits built with description passes
 
 
+@contextmanager
+def unmemoised():
+    """Run with empty lattice and cone memos, restored afterwards.  A cone
+    built inside is computed, never swapped for an equal live cone of the
+    code under test, so comparing its facet normals and ``span_perp`` with
+    that cone's compares two computations; it is not found from outside."""
+    saved = cones._CONES, intlinalg._PERPS
+    cones._CONES, intlinalg._PERPS = weakref.WeakValueDictionary(), weakref.WeakValueDictionary()
+    try:
+        yield
+    finally:
+        cones._CONES, intlinalg._PERPS = saved
+
+
+@unmemoised()
 def brute_faces(c: Cone) -> tuple[Cone, ...]:
     """Faces of a pointed cone: one cone built per subset of its facets."""
     found = {}
@@ -175,6 +209,7 @@ def brute_faces(c: Cone) -> tuple[Cone, ...]:
     return tuple(sorted(found.values(), key=lambda f: (f.dim, f.rays)))
 
 
+@unmemoised()
 def dd_face_from_tight(c: Cone, tight) -> Cone:
     """The face of c on which the given facet normals vanish, built from its
     generators (rays and +/- lineality basis) by two description passes."""
@@ -184,6 +219,7 @@ def dd_face_from_tight(c: Cone, tight) -> Cone:
     return Cone.from_generators(gens, c.ambient)
 
 
+@unmemoised()
 def dd_face_from_values(chart: Cone, nonzero) -> Cone:
     """The face of a chart on which the given characters of its dual
     semigroup vanish: the chart meet their perp, by description passes."""
@@ -192,6 +228,7 @@ def dd_face_from_values(chart: Cone, nonzero) -> Cone:
     )
 
 
+@unmemoised()
 def dd_intersect(a: Cone, b: Cone) -> Cone:
     """The intersection of two cones from both cones' facet normals and
     ``span_perp`` bases, by three description passes."""

@@ -26,6 +26,7 @@ from _oracles import (
     fm_contains,
     fm_inequalities,
     random_cone,
+    unmemoised,
 )
 
 E1, E2, E3 = (1, 0, 0), (0, 1, 0), (0, 0, 1)
@@ -72,7 +73,8 @@ def test_zero_cone_from_empty_generators():
     assert c.dim == 0 and c.rays == () and c.lineality.rank == 0
     assert c == Cone.zero(3)
     for n in range(5):
-        z, c = Cone.zero(n), cone_canonical([], n)
+        with unmemoised():
+            z, c = Cone.zero(n), cone_canonical([], n)
         assert (z.rays, z.lineality, z.facet_normals, z.span_perp) == (
             c.rays, c.lineality, c.facet_normals, c.span_perp
         )
@@ -233,7 +235,9 @@ def test_faces_built_from_ray_sets_match_from_generators():
     checked = 0
     for c in cones:
         for f in c.faces():
-            assert _fields(f) == _fields(Cone.from_generators(f.rays, c.ambient))
+            with unmemoised():
+                built = Cone.from_generators(f.rays, c.ambient)
+            assert _fields(f) == _fields(built)
             checked += 1
             loc = c.classify(f.relint_point())
             if f == c:

@@ -13,9 +13,18 @@ target orbit and builds no point.
 An intersection is one DD pass, and a meet that is a face of a pointed
 operand is read off that operand's face table.  A face is built on the
 first lookup of its mask, once per cone, and an orbit index or a fan builds
-one face per orbit or per distinct ray set.  The pins are exact counts; each
-test's comment gives the larger count of the code that rebuilt meets and
-built every face of every chart, so each pin fails on that code.
+one face per orbit or per distinct ray set.  A cone is its own full face,
+and a face equal to a live cone (a face shared by several charts, say) is
+that cone, found by its key before its orthogonal lattice is computed.
+Lattices are memoised the same way: ``Sublattice.perp`` runs one Smith normal
+form per distinct live input.
+
+The pins are exact counts; each test's comment gives the larger count of
+the code that rebuilt meets, built every face of every chart, or built each
+equal face and lattice again, so each pin fails on that code.  The memos
+hold their values weakly, so a lattice or cone that another test keeps
+alive would answer a lookup; each test starts from empty memos, and this
+module also runs on its own.
 """
 
 from fractions import Fraction
@@ -33,6 +42,16 @@ from toriq.separation import (
     forced_identifications,
     partition_matches_fibers,
 )
+
+from _oracles import unmemoised
+
+
+@pytest.fixture(autouse=True)
+def fresh_memos():
+    # the pins count the work of a test's own objects only: an equal lattice
+    # or cone that another test keeps alive would otherwise answer a lookup
+    with unmemoised():
+        yield
 
 
 @pytest.fixture
@@ -75,36 +94,44 @@ def test_faces_run_no_dd_pass(calls):
 
 
 def test_fan_meets_read_off_the_face_tables(calls):
-    # 5 cones, 10 meets, 31 distinct cones; three DD passes per meet and
-    # every face of every cone built made 30 DD passes, 80 face builds and
-    # 95 Smith normal forms
+    # 5 cones, 10 meets, 31 distinct cones; the 5 charts are their own full
+    # faces, so 26 faces are looked up and 25 have a perp to compute (the
+    # zero cone's is the full lattice); building each chart again as its own
+    # full face made 31 face builds and 30 Smith normal forms, and three DD
+    # passes per meet and every face of every cone built made 30 DD passes,
+    # 80 face builds and 95 Smith normal forms
     charts = projective_space_charts(4)
     calls.update(dd=0, intersect=0, face=0, snf=0)
     fan = Fan(charts)
     assert len(fan.all_cones) == 31 and calls["intersect"] == 10
-    assert (calls["dd"], calls["face"], calls["snf"]) == (10, 31, 30)
+    assert (calls["dd"], calls["face"], calls["snf"]) == (10, 26, 25)
 
 
 def test_fan_system_and_identifications_meet_each_chart_pair_once(calls):
+    # building each chart again as its own full face, and every lattice
+    # once per copy, made 15 face builds and 25 Smith normal forms;
     # rebuilding each meet and every chart face made 18 DD passes and 32
     # face builds
     charts = projective_space_charts(3)
-    calls.update(dd=0, intersect=0, face=0)
+    calls.update(dd=0, intersect=0, face=0, snf=0)
     system = Fan(charts).as_system()
     part = forced_identifications(system)
     assert system.separated and len(part.classes) == 15
     assert calls["intersect"] == 6
-    assert (calls["dd"], calls["face"]) == (6, 15)
+    assert (calls["dd"], calls["face"], calls["snf"]) == (6, 11, 15)
 
 
 def test_orbit_index_builds_one_face_per_orbit(calls):
-    # torus-glued P^3: 29 orbits; building every face of every chart made
-    # 32 face builds
+    # torus-glued P^3: 29 orbits, 4 of them the charts themselves, and 10
+    # distinct nonzero proper faces, so one Smith normal form each; building
+    # each chart again as its own full face, and a face shared by several
+    # charts once per chart, made 29 face builds and 28 Smith normal forms,
+    # and building every face of every chart made 32 face builds
     charts = projective_space_charts(3)
-    calls.update(dd=0, face=0)
+    calls.update(dd=0, face=0, snf=0)
     system = FanSystem(charts)
     assert len(system.orbits()) == 29
-    assert (calls["dd"], calls["face"]) == (0, 29)
+    assert (calls["dd"], calls["face"], calls["snf"]) == (0, 25, 10)
 
 
 def test_comparison_morphism_builds_no_cone(calls):
@@ -243,5 +270,7 @@ def test_second_call_reads_the_cache(monkeypatch):
     second = (c.faces(), cones.semigroup_generators(d), face.span_lattice,
               face.span_lattice.coset_reduce(t))
     assert counts == {"face": 0, "hilbert": 0, "snf": 0}
-    assert all(a is b for a, b in zip(first[:3], second[:3]))
+    # faces() builds a new tuple of the same face objects on each call
+    assert all(a is b for a, b in zip(first[0], second[0]))
+    assert first[1] is second[1] and first[2] is second[2]
     assert first[3] == second[3]

@@ -12,9 +12,9 @@ from toriq.intlinalg import (
     apply_exponent_matrix,
     dot,
     hermite_normal_form,
-    in_rational_span,
     integer_nth_root,
     invariant_factors,
+    is_zero_vec,
     kernel_saturated,
     monomial_value,
     rank_of_rows,
@@ -23,7 +23,7 @@ from toriq.intlinalg import (
     solve_torus_equation,
 )
 
-from _oracles import minor_gcd, rational_nullspace
+from _oracles import contains_rational, is_saturated, minor_gcd, rational_nullspace
 
 P = IntMatrix([[1, 0, 0, 1], [0, 1, 0, 1], [0, 0, 1, 0]])
 
@@ -163,7 +163,7 @@ def test_kernel_against_gaussian_oracle():
         oracle = rational_nullspace(list(m.rows), m.ncols)
         assert len(oracle) == k.rank
         for v in oracle:
-            assert k.contains_rational(v)
+            assert contains_rational(k, v)
         assert all(f == 1 for f in invariant_factors(k.matrix())) or k.rank == 0
 
 
@@ -191,15 +191,15 @@ def test_sublattice_canonical_equality():
     assert a != b  # index-2 sublattice of the same span
     assert b.saturate() == a
     assert c != a and c.saturate() == a
-    assert not c.is_saturated() and a.is_saturated()
+    assert not is_saturated(c) and is_saturated(a)
 
 
 def test_sublattice_membership():
     lat = Sublattice.from_rows(3, [(2, 0, 0), (0, 1, 0)])
     assert lat.contains((2, 5, 0))
     assert not lat.contains((1, 0, 0))
-    assert lat.contains_rational((1, 0, 0))
-    assert not lat.contains_rational((0, 0, 1))
+    assert contains_rational(lat, (1, 0, 0))
+    assert not contains_rational(lat, (0, 0, 1))
 
 
 def test_coset_reduction():
@@ -237,9 +237,9 @@ def test_rank_and_span_against_nullspace_oracle():
         for row in m.rows:
             c = rng.randint(-3, 3)
             combo = [x + c * y for x, y in zip(combo, row)]
-        assert in_rational_span(combo, m.rows)
+        assert is_zero_vec(reduce_mod_span(combo, m.rows))
         v = tuple(rng.randint(-9, 9) for _ in range(m.ncols))
-        assert in_rational_span(v, m.rows) == all(dot(v, k) == 0 for k in kernel)
+        assert is_zero_vec(reduce_mod_span(v, m.rows)) == all(dot(v, k) == 0 for k in kernel)
 
 
 def test_reduce_mod_span_negative_pivot_keeps_orientation():
