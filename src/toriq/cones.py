@@ -16,18 +16,23 @@ a ray mask: the faces are the intersections of facet incidence masks
 masks of the facet normals tight there.  A face is built from its mask with
 no description pass (its facets are read off the parent's facet normals and
 a per-mask dimension table), on the first lookup of its mask, and once per
-mask.  An intersection takes one description pass on both cones' facet
-normals; a meet that is a face of a pointed operand is read off that
-operand's face table, and any other meet is canonicalised from generators.
+mask.  A cone is a face of a pointed cone iff it is pointed and its rays
+are the rays of a face mask, so that test is a lookup.  An intersection
+takes one description pass on both cones' facet normals; a meet that is a
+face of a pointed operand is read off that operand's face table, and any
+other meet is canonicalised from generators.
 
 Equal cones are built once while any copy is alive.  ``_CONES``, a
 ``WeakValueDictionary``, maps ``Cone.key()`` to the live cone with that key,
-and ``(rank, sorted primitive generators)`` to the cone they generate: a
+``(rank, sorted primitive generators)`` to the cone they generate, and
+``("meet",)`` plus the two operands' sorted keys to their intersection: a
 ``from_generators`` call with a known generator set returns the cone with no
-description pass, a new cone is swapped for a live equal one, and a face is
-looked up by its key before its orthogonal lattice is computed.  So a face
-shared by several charts, a fan's copy of a system's chart and each cone's
-lattices are computed once per check.  The memo holds its values weakly and
+description pass, a new cone is swapped for a live equal one, a face is
+looked up by its key before its orthogonal lattice is computed, and an
+intersection of two cones whose meet is alive runs no description pass.  So
+a face shared by several charts, a fan's copy of a system's chart, a chart
+pair's meet built by both a fan and a chart system, and each cone's lattices
+are computed once per check.  The memo holds its values weakly and
 adds no reference to any cone, so a cone lives exactly as long as a caller
 keeps it.  No cone may reach itself: a face table never holds the cone it
 belongs to (its full mask is the cone itself), and ``faces()`` builds its
@@ -327,6 +332,20 @@ class Cone:
         return tuple(r for k, r in enumerate(self.rays) if mask >> k & 1)
 
     @cached_property
+    def _bit(self) -> dict[IntVec, int]:
+        """Per ray, its bit in a mask."""
+        return {r: 1 << k for k, r in enumerate(self.rays)}
+
+    def mask_of(self, rays: Iterable[IntVec]) -> int | None:
+        """The mask of these rays; None when one is not a ray of this cone."""
+        bit, mask = self._bit, 0
+        for r in rays:
+            if r not in bit:
+                return None
+            mask |= bit[r]
+        return mask
+
+    @cached_property
     def _mask_dims(self) -> dict[int, int]:
         """Per face mask, the dimension of its face."""
         return {m: rank_of_rows(self._rays_of(m)) for m in self.face_masks}
@@ -397,12 +416,18 @@ class Cone:
         return tuple(sorted(set(lifted + extra)))
 
     def is_face_of(self, other: "Cone") -> bool:
-        """Is this cone a face of ``other``?"""
+        """Is this cone a face of ``other``?  A face of a pointed cone is a
+        ray mask: this cone must be pointed, its rays must be rays of
+        ``other``, and their mask must be in ``other.face_masks``, so no dot
+        product is taken.  For ``other`` with lineality, the face cut out by
+        the facet normals tight on this cone must be this cone."""
+        if self.ambient != other.ambient:
+            raise ValueError("rank mismatch")
+        if other.is_pointed:
+            mask = other.mask_of(self.rays)
+            return self.is_pointed and mask is not None and mask in other.face_masks
         if not other.contains_cone(self):
             return False
-        if other.is_pointed:
-            # then this cone is pointed, and its rays sum to a relative-interior point
-            return self.rays == other._rays_of(other.face_mask(self.relint_point()))
         tight = [
             u
             for u in other.facet_normals
@@ -412,19 +437,27 @@ class Cone:
 
     def intersect(self, other: "Cone") -> "Cone":
         """The intersection, by one description pass on both cones' facet
-        normals.  A meet that is a face of a pointed operand (and so pointed,
-        with canonical rays) is that operand's face from its face table."""
+        normals, once while it is alive: ``_CONES`` holds it under
+        ``("meet",)`` plus the operands' sorted keys, so ``a.intersect(b)``
+        is ``b.intersect(a)``.  A meet that is a face of a pointed operand
+        (and so pointed, with canonical rays) is that operand's face from its
+        face table."""
         if self.ambient != other.ambient:
             raise ValueError("rank mismatch")
+        key = ("meet",) + tuple(sorted((self.key(), other.key())))
+        meet = _CONES.get(key)
+        if meet is None:
+            meet = _CONES[key] = self._meet(other)
+        return meet
+
+    def _meet(self, other: "Cone") -> "Cone":
         ineqs = sorted(set(self.facet_normals + other.facet_normals))
         eqs = self.span_perp.basis + other.span_perp.basis
         rays, lines = _double_description(self.ambient, ineqs, eqs)
         for c in (x for x in (self, other) if x.is_pointed):
-            bit = {r: 1 << k for k, r in enumerate(c.rays)}
-            if all(r in bit for r in rays):
-                mask = sum(map(bit.get, set(rays)))
-                if mask in c.face_masks:
-                    return c._face(mask)
+            mask = c.mask_of(rays)
+            if mask is not None and mask in c.face_masks:
+                return c._face(mask)
         gens = rays + [x for l in lines for x in (l, vec_neg(l))]
         return Cone.from_generators(gens, self.ambient)
 
@@ -458,8 +491,9 @@ class PointClassification:
         return self.kind == "relint"
 
 
-# Cone.key() -> the live cone with that key, and (rank, sorted primitive
-# generators) -> the cone they generate; values are held weakly
+# Cone.key() -> the live cone with that key, (rank, sorted primitive
+# generators) -> the cone they generate, and ("meet", key, key) -> the
+# intersection of the cones with those sorted keys; values are held weakly
 _CONES: "weakref.WeakValueDictionary[tuple, Cone]" = weakref.WeakValueDictionary()
 
 

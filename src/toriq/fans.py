@@ -115,7 +115,9 @@ class FanSystem:
         return all(g == self.meet(i, j) for (i, j), g in self.gluing.items())
 
     def meet(self, i: int, j: int) -> Cone:
-        """The intersection of charts i and j, computed once per pair."""
+        """The intersection of charts i and j, kept once per pair; a live fan
+        over the same charts has already computed it (``Cone.intersect`` is
+        memoised)."""
         key = (min(i, j), max(i, j))
         if key not in self._meets:
             self._meets[key] = self.charts[i].intersect(self.charts[j])
@@ -139,14 +141,13 @@ class FanSystem:
         """
         m = len(self.charts)
         glued = [[set(self.gluing_cone(i, j).rays) for j in range(m)] for i in range(m)]
-        self._bit = [{r: 1 << k for k, r in enumerate(c.rays)} for c in self.charts]
         found = []
         for i, chart in enumerate(self.charts):
             for mask in chart.face_masks:
                 rays = chart._rays_of(mask)
                 js = [j for j in range(m) if glued[i][j].issuperset(rays)]
                 if js[0] == i:
-                    masks = [(j, sum(self._bit[j][r] for r in rays)) for j in js]
+                    masks = [(j, self.charts[j].mask_of(rays)) for j in js]
                     found.append(((chart._mask_dims[mask], i, rays), mask, masks))
         found.sort()  # (dim, chart, rays) is the order of OrbitIndex.sort_key
         self._orbits = tuple(OrbitIndex(i, self.charts[i]._face(m)) for (_, i, _), m, _ in found)
@@ -164,10 +165,8 @@ class FanSystem:
         None when there is no such chart or the cone is not a face of it."""
         if chart not in range(len(self.charts)) or face.ambient != self.rank:
             return None
-        bit = self._bit[chart]
-        if not face.is_pointed or not all(r in bit for r in face.rays):
-            return None
-        return self.orbit_of_mask[chart].get(sum(bit[r] for r in face.rays))
+        mask = self.charts[chart].mask_of(face.rays) if face.is_pointed else None
+        return None if mask is None else self.orbit_of_mask[chart].get(mask)
 
     def orbit(self, chart: int, face: Cone) -> OrbitIndex:
         """Canonical orbit index of a face of the given chart."""
@@ -261,10 +260,11 @@ class Fan:
                 if not (meet.is_face_of(cones[i]) and meet.is_face_of(cones[j])):
                     raise FanViolation(i, j)
                 self._meets[frozenset((cones[i], cones[j]))] = meet
+        # a cone lies in another iff it is their meet
         maximal = [
             c
             for i, c in enumerate(cones)
-            if not any(j != i and cones[j].contains_cone(c) and cones[j] != c
+            if not any(j != i and cones[j] != c and self._meets[frozenset((c, cones[j]))] == c
                        for j in range(len(cones)))
         ]
         # keep one copy of exact duplicates

@@ -352,6 +352,16 @@ def fiber_equation(
     return exponents, targets, solve_torus_equation(exponents, targets)
 
 
+def fiber_lattice(m: ToricMorphism, gamma: OrbitIndex) -> Sublattice:
+    """The subtorus of every fiber piece over gamma's orbit: the saturated
+    kernel of the exponent matrix of ``fiber_equation``, which is the perp of
+    its rows.  It does not depend on the point, and no equation is solved;
+    for an identity lattice map the rows are ``span_perp(gamma)``, and the
+    perp is gamma's ``span_lattice``."""
+    rows = (IntMatrix(gamma.cone.span_perp.basis, m.matrix.nrows) @ m.matrix).rows
+    return Sublattice.from_rows(m.matrix.ncols, rows).perp()
+
+
 def fiber_pieces(m: ToricMorphism, y: OrbitPoint) -> tuple[FiberPiece, ...]:
     """The fiber of a toric morphism over a rational target point, as a
     disjoint union of subtorus-coset pieces, one per source orbit over y's

@@ -35,7 +35,7 @@ from .intlinalg import (
 from .morphisms import (
     ToricMorphism,
     complement_codim,
-    fiber_equation,
+    fiber_lattice,
     fiber_pieces,
     image_constructible,
     limit_table,
@@ -219,10 +219,11 @@ def partition_matches_fibers(
     the piece list realizes exactly one class, with matching subtorus
     lattices.  The fiber over the distinguished point of gamma's orbit has
     one piece per source orbit sent to gamma, and every piece's subtorus is
-    the kernel of ``fiber_equation`` at the identity coset.  Every target of
-    that equation is 1, so it always has a solution; it is solved once per
-    target orbit for both checks, and no piece and no representative point
-    is built.
+    ``fiber_lattice(kappa, gamma)``, the kernel of ``fiber_equation`` at the
+    identity coset (every target of that equation is 1, so it always has a
+    solution).  That lattice is read once per target orbit for both checks
+    as a perp, with no equation solved, and no piece and no representative
+    point is built.
     """
     if system_view(kappa.source) != system_view(part.system):
         raise ValueError("partition and morphism have different sources")
@@ -233,8 +234,7 @@ def partition_matches_fibers(
     fibers: dict[OrbitIndex, list[OrbitIndex]] = {}
     for orbit, target in kappa.orbit_assignment.items():
         fibers.setdefault(target, []).append(orbit)
-    identity = TorusElement.identity(kappa.matrix.nrows)
-    lattice = {g: fiber_equation(kappa, g, identity)[2].kernel for g in fibers}
+    lattice = {g: fiber_lattice(kappa, g) for g in fibers}
     for cls in part.classes:
         label = "class " + "+".join(_orbit_tag(o) for o in cls.orbits)
         targets = {kappa.orbit_assignment[o] for o in cls.orbits}

@@ -296,8 +296,31 @@ def test_is_face_of_matches_dd_oracle():
         for r in c.rays:
             check("lineality", Cone.from_generators([r] + lines, n), c)
             check("lineality", Cone.from_generators([r], n), c)
+    # ray subsets that are no face: opposite rays of a square cone, and the
+    # rays of a cone over a pentagon that skip a vertex
+    square = Cone.from_generators([(1, 0, 1), (0, 1, 1), (-1, 0, 1), (0, -1, 1)], 3)
+    for pair in ([(1, 0, 1), (-1, 0, 1)], [(0, 1, 1), (0, -1, 1)]):
+        check("subset", Cone.from_generators(pair, 3), square)
+    pentagon = Cone.from_generators(
+        [(1, 0, 1), (0, 1, 1), (-1, 1, 1), (-1, -1, 1), (1, -1, 1)], 3
+    )
+    for skip in range(5):
+        check("subset", Cone.from_generators(pentagon.rays[:skip] + pentagon.rays[skip + 1:], 3),
+              pentagon)
+    # the zero cone is a face of every cone, itself included
+    zero, ray = Cone.zero(3), Cone.from_generators([(1, 0, 1)], 3)
+    for other in (zero, ray, square):
+        check("zero", zero, other)
+    check("zero", ray, zero)
+    for a, b in ((zero, Cone.zero(2)), (Cone.from_generators([(1, 0)], 2), square)):
+        for x, y in ((a, b), (b, a)):
+            with pytest.raises(ValueError):
+                x.is_face_of(y)
+            with pytest.raises(ValueError):
+                dd_is_face_of(x, y)
     assert seen["face"] == {True}
-    assert seen["contained"] == {False}
+    assert seen["contained"] == seen["subset"] == {False}
+    assert seen["zero"] == {True, False}
     assert seen["other"] == {True, False}
     assert seen["lineality"] == {True, False}
 
@@ -385,6 +408,37 @@ def test_intersect_disjoint_supports():
     a = cone_canonical([(1, 0, 0, 0), (0, 1, 0, 0)], 4)
     b = cone_canonical([(0, 0, 1, 0), (0, 0, 0, 1)], 4)
     assert intersect(a, b) == Cone.zero(4)
+
+
+@unmemoised()
+def test_meet_is_computed_once_while_alive(monkeypatch):
+    # the meet is memoised under both operands' keys: the second order reads
+    # it with no description pass, and empty memos run the pass again; the
+    # test starts from empty memos, as a meet that another test keeps alive
+    # would answer the first call
+    from toriq import cones
+
+    passes = []
+    dd = cones._double_description
+
+    def counting(*args):
+        passes.append(args)
+        return dd(*args)
+
+    monkeypatch.setattr(cones, "_double_description", counting)
+    square = Cone.from_generators([(1, 0, 1), (0, 1, 1), (-1, 0, 1), (0, -1, 1)], 3)
+    half = Cone.from_generators([(1, 0, 1), (-1, 0, 1), (0, -1, -1)], 3)
+    pairs = [(tau1(), tau2()), (delta(), tau2()), (square, half)]
+    for a, b in pairs:
+        passes.clear()
+        meet = a.intersect(b)
+        first = len(passes)
+        assert b.intersect(a) is meet and a.intersect(b) is meet
+        assert len(passes) == first >= 1
+        with unmemoised():
+            assert a.intersect(b) == meet
+        assert len(passes) == 2 * first
+        assert _fields(meet) == _fields(dd_intersect(a, b))
 
 
 def test_intersect_brute_force():

@@ -7,11 +7,13 @@ none of these steps may rebuild a cone.  A point given by its character
 values finds its face in the chart's face table, and the test vectors are
 read off face masks, so no face of a chart-pair intersection is built.  The
 identification fixpoint tests lattice containment only after an event
-changed a lattice, and the fiber comparison solves one torus equation per
-target orbit and builds no point.
+changed a lattice, and the fiber comparison reads one fiber lattice per
+target orbit as a perp, solving no torus equation and building no point.
 
-An intersection is one DD pass, and a meet that is a face of a pointed
-operand is read off that operand's face table.  A face is built on the
+An intersection is one DD pass, run once while its meet is alive, so a fan
+and a chart system over the same charts share each chart pair's meet; a
+meet that is a face of a pointed operand is read off that operand's face
+table.  A face is built on the
 first lookup of its mask, once per cone, and an orbit index or a fan builds
 one face per orbit or per distinct ray set.  A cone is its own full face,
 and a face equal to a live cone (a face shared by several charts, say) is
@@ -20,8 +22,9 @@ Lattices are memoised the same way: ``Sublattice.perp`` runs one Smith normal
 form per distinct live input.
 
 The pins are exact counts; each test's comment gives the larger count of
-the code that rebuilt meets, built every face of every chart, or built each
-equal face and lattice again, so each pin fails on that code.  The memos
+the code that rebuilt meets, built every face of every chart, built each
+equal face and lattice again, or solved a torus equation per fiber
+lattice, so each pin fails on that code.  The memos
 hold their values weakly, so a lattice or cone that another test keeps
 alive would answer a lookup; each test starts from empty memos, and this
 module also runs on its own.
@@ -217,8 +220,11 @@ def test_identification_tests_lattices_only_after_events(monkeypatch):
     assert len(tests) == 325
 
 
-def test_fiber_comparison_solves_once_per_target_orbit(monkeypatch):
-    # torus-glued P^4 over its fan: 31 target orbits; building every fiber
+def test_fiber_comparison_solves_no_torus_equation(monkeypatch):
+    # torus-glued P^4 over its fan: 31 target orbits, whose fiber lattices
+    # are the perps of their span_perp lattices, which the orbit cones'
+    # span lattices already hold; solving one torus equation per target
+    # orbit made 31 solves and 31 Smith normal forms, building every fiber
     # piece with its representative point made 183 coset reductions and
     # 242 Smith normal forms, and a separate saturated preimage per class
     # made 87
@@ -239,10 +245,24 @@ def test_fiber_comparison_solves_once_per_target_orbit(monkeypatch):
     monkeypatch.setattr(intlinalg, "smith_normal_form", counting("snf", intlinalg.smith_normal_form))
     ok, _ = partition_matches_fibers(part, kappa)
     assert ok and len(set(kappa.orbit_assignment.values())) == 31
-    assert counts["coset_reduce"] == 0
-    assert counts["solve"] <= 31
-    # one solve per target orbit, read by the class and the fiber checks
-    assert counts["snf"] == 31
+    assert counts == {"coset_reduce": 0, "solve": 0, "snf": 0}
+
+
+def test_quotient_check_on_torus_glued_p4(calls):
+    # the whole check: a chart system and a fan over the same 5 charts, the
+    # comparison morphism, the identifications and the fiber comparison; the
+    # system reads the fan's 10 chart-pair meets, so 10 DD passes and 37
+    # Smith normal forms run; computing each meet for the fan and again for
+    # the system, and solving one torus equation per target orbit, made 20
+    # DD passes and 68 Smith normal forms
+    charts = projective_space_charts(4)
+    calls.update(dd=0, intersect=0, face=0, snf=0)
+    system, fan = FanSystem(charts), Fan(charts)
+    kappa = comparison_morphism(system, fan)
+    part = forced_identifications(system)
+    ok, _ = partition_matches_fibers(part, kappa)
+    assert ok and (len(part.classes), len(part.events)) == (31, 25)
+    assert (calls["dd"], calls["snf"]) == (10, 37)
 
 
 def test_second_call_reads_the_cache(monkeypatch):

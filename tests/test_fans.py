@@ -3,6 +3,7 @@ import random
 
 import pytest
 
+import toriq.cones
 from toriq.cones import Cone
 from toriq.fans import (
     Fan,
@@ -19,6 +20,7 @@ from _oracles import (
     random_fan,
     scan_minimal_cone_containing,
     scan_orbit_of_cone,
+    unmemoised,
 )
 
 E1, E2, E3 = (1, 0, 0), (0, 1, 0), (0, 0, 1)
@@ -189,6 +191,32 @@ def test_separated_system_to_fan_and_back(ex):
     back = fan.as_system()
     assert {c for c in back.charts} == {c for c in sys.charts}
     assert back.separated
+
+
+def test_fan_and_system_share_each_chart_pair_meet(monkeypatch):
+    # a fan and a chart system over the same charts read one memoised meet
+    # per chart pair, whichever is built first: the second runs no DD pass
+    passes = []
+    dd = toriq.cones._double_description
+
+    def counting(*args):
+        passes.append(args)
+        return dd(*args)
+
+    monkeypatch.setattr(toriq.cones, "_double_description", counting)
+    rays = [E1, E2, E3, (-1, -1, -1)]
+    pairs = list(itertools.combinations(range(4), 2))
+    for system_first in (False, True):
+        with unmemoised():
+            charts = [cone(*(r for r in rays if r != skip)) for skip in rays]
+            passes.clear()
+            system = FanSystem(charts)
+            early = [system.meet(i, j) for i, j in pairs] if system_first else []
+            fan = Fan(charts)
+            meets = early or [system.meet(i, j) for i, j in pairs]
+            assert len(passes) == 6
+            assert all(meet is fan._meets[frozenset((charts[i], charts[j]))]
+                       for meet, (i, j) in zip(meets, pairs))
 
 
 def test_non_separated_system_has_no_fan(ex):

@@ -6,7 +6,7 @@ import pytest
 
 from toriq.cones import Cone, dual_cone, semigroup_generators
 from toriq.fans import Fan, FanSystem, build_fan, system_view
-from toriq.intlinalg import IntMatrix
+from toriq.intlinalg import Inconsistent, IntMatrix
 from toriq.morphisms import (
     ConstructibleOrbitSet,
     IncompatibleMorphism,
@@ -14,6 +14,8 @@ from toriq.morphisms import (
     PartialCover,
     apply_morphism,
     complement_codim,
+    fiber_equation,
+    fiber_lattice,
     fiber_pieces,
     image_constructible,
     limit_table,
@@ -31,6 +33,7 @@ from _oracles import (
     dd_limit_targets,
     random_fan,
     random_point,
+    random_torus,
     random_unimodular,
     scan_orbit_assignment,
 )
@@ -393,6 +396,47 @@ def test_parametric_fiber_piece():
     pieces4 = fiber_pieces(squaring, y4)
     rep = pieces4[0].representative
     assert isinstance(rep, OrbitPoint) and rep.coset.coords in {(2,), (-2,)}
+
+
+def test_fiber_lattice_is_the_fiber_equations_kernel(ex):
+    # the perp of the exponent rows against the solved equation's kernel, at
+    # the identity and at random rational points of every target orbit
+    scenes = Path(__file__).resolve().parent.parent / "scenes"
+    plane = load_scene(scenes / "punctured-plane.json").morphisms
+    line = build_fan([ray((1,), rank=1)])
+    orthant = build_fan([ray((1, 0), (0, 1))])
+    morphisms = [
+        ex.pi,
+        ex.kappa,
+        plane["fold"],
+        # squaring: most points have no rational preimage
+        toric_morphism(IntMatrix([[2]]), line, line),
+        # a line into the plane: points off its image have an empty fiber
+        toric_morphism(IntMatrix([[1], [0]]), line, orthant),
+    ]
+    rng = random.Random(58)
+    for _ in range(20):
+        fan = random_fan(rng, max_rank=3)
+        n = fan.rank
+        u = random_unimodular(rng, n)
+        moved = Fan([Cone.from_generators(map(u.apply, c.rays), n) for c in fan.maximal_cones])
+        morphisms += [
+            toric_morphism(u, fan, moved),
+            toric_morphism(u, FanSystem(fan.maximal_cones), moved.as_system()),
+        ]
+    seen = {}
+    for m in morphisms:
+        n = m.matrix.nrows
+        points = [TorusElement.identity(n)] + [random_torus(rng, n) for _ in range(3)]
+        for gamma in system_view(m.target).orbits():
+            lattice = fiber_lattice(m, gamma)
+            for t in points:
+                sol = fiber_equation(m, gamma, t)[2]
+                kind = type(sol).__name__
+                seen[kind] = seen.get(kind, 0) + 1
+                if not isinstance(sol, Inconsistent):
+                    assert lattice == sol.kernel, (m, gamma, t)
+    assert seen["CosetSolution"] > 500 and seen["NoRationalPoint"] and seen["Inconsistent"]
 
 
 def test_fiber_soundness_random_targets(ex):

@@ -58,6 +58,19 @@ def torus_glued_p4() -> None:
     check_quotient(FanSystem(charts), Fan(charts))
 
 
+def half_square_pair() -> None:
+    # two charts whose meet is half the square, cut along its diagonal: its
+    # rays are rays of the square, but it is a face of neither chart, so it
+    # is built from generators and memoised as the charts' meet
+    square = Cone.from_generators([(1, 0, 1), (0, 1, 1), (-1, 0, 1), (0, -1, 1)], 3)
+    half = Cone.from_generators([(1, 0, 1), (-1, 0, 1), (0, -1, -1)], 3)
+    system = FanSystem([square, half])
+    meet = system.meet(0, 1)
+    assert not (meet.is_face_of(square) or meet.is_face_of(half))
+    assert half.intersect(square) is meet
+    assert forced_identifications(system).events
+
+
 def cone_queries() -> None:
     # the queries of one operation of the cones benchmark workload
     c = Cone.from_generators([(1, 0, 1), (0, 1, 1), (-1, 0, 1), (0, -1, 1), (1, 1, 2)], 3)
@@ -70,6 +83,8 @@ def cone_queries() -> None:
     assert semigroup_generators(c.dual())
 
 
-@pytest.mark.parametrize("work", [worked_example, torus_glued_p4, cone_queries])
+@pytest.mark.parametrize(
+    "work", [worked_example, torus_glued_p4, half_square_pair, cone_queries]
+)
 def test_computation_leaves_no_reference_cycle(work):
     assert unreachable_after(work) == 0
