@@ -68,6 +68,11 @@ from .intlinalg import (
 # double description
 
 
+def _combine(alpha: int, x: IntVec, beta: int, y: IntVec) -> IntVec:
+    """primitive(alpha * x - beta * y)."""
+    return primitive(tuple(alpha * s - beta * t for s, t in zip(x, y)))
+
+
 def _double_description(
     rank: int, ineqs: Sequence[IntVec], eqs: Sequence[IntVec]
 ) -> tuple[list[IntVec], list[IntVec]]:
@@ -75,7 +80,9 @@ def _double_description(
 
     Equalities are inserted first (as inequality pairs), then inequalities in
     the given order.  Rays in the result are extreme; lines span the
-    lineality space (the returned basis need not be saturated).
+    lineality space (the returned basis need not be saturated).  Each
+    insertion pairs the new row with each current line and ray once, and
+    every new line or ray is built from those values.
     """
     rays: list[IntVec] = []
     lines: list[IntVec] = [
@@ -87,44 +94,34 @@ def _double_description(
         nonlocal rays, lines
         if is_zero_vec(a):
             return
-        split = next((i for i, l in enumerate(lines) if dot(a, l) != 0), None)
+        line_values = [dot(a, l) for l in lines]
+        split = next((i for i, v in enumerate(line_values) if v != 0), None)
         if split is not None:
-            l0 = lines.pop(split)
-            if dot(a, l0) < 0:
-                l0 = vec_neg(l0)
-            al0 = dot(a, l0)
-            lines = [
-                primitive(tuple(al0 * x - dot(a, l) * y for x, y in zip(l, l0)))
-                for l in lines
-            ]
-            rays = [
-                primitive(tuple(al0 * x - dot(a, r) * y for x, y in zip(r, l0)))
-                for r in rays
-            ]
+            l0, al0 = lines.pop(split), line_values.pop(split)
+            if al0 < 0:
+                l0, al0 = vec_neg(l0), -al0
+            lines = [_combine(al0, l, v, l0) for l, v in zip(lines, line_values)]
+            rays = [_combine(al0, r, dot(a, r), l0) for r in rays]
             rays.append(l0)
         else:
             values = [dot(a, r) for r in rays]
             if any(v < 0 for v in values):
                 rank_proc = rank_of_rows(processed)
-                pos = [r for r, v in zip(rays, values) if v > 0]
+                pos = [(r, v) for r, v in zip(rays, values) if v > 0]
                 zero = [r for r, v in zip(rays, values) if v == 0]
-                neg = [r for r, v in zip(rays, values) if v < 0]
+                neg = [(r, v) for r, v in zip(rays, values) if v < 0]
                 tight = {
-                    r: [p for p in processed if dot(p, r) == 0] for r in pos + neg
+                    r: [p for p in processed if dot(p, r) == 0] for r, _ in pos + neg
                 }
                 combos: list[IntVec] = []
-                for rp in pos:
+                for rp, vp in pos:
                     tp = tight[rp]
-                    for rn in neg:
+                    for rn, vn in neg:
                         common = [p for p in tp if dot(p, rn) == 0]
                         if rank_of_rows(common) == rank_proc - 2:
-                            combo = tuple(
-                                dot(a, rp) * x - dot(a, rn) * y
-                                for x, y in zip(rn, rp)
-                            )
-                            combos.append(primitive(combo))
-                seen = set(pos + zero)
-                new_rays = pos + zero
+                            combos.append(_combine(vp, rn, vn, rp))
+                new_rays = [r for r, _ in pos] + zero
+                seen = set(new_rays)
                 for c in combos:
                     if c not in seen:
                         seen.add(c)
@@ -184,22 +181,6 @@ class Cone:
             cone = _canonical(cls(rank, _canonical_rays(rays_p, lin), lin, facets, dual_lin))
             _CONES[key] = cone
         return cone
-
-    @classmethod
-    def from_inequalities(
-        cls,
-        inequalities: Iterable[Sequence[int]],
-        equalities: Iterable[Sequence[int]],
-        rank: int,
-    ) -> "Cone":
-        ineqs = sorted({primitive(vec(a)) for a in inequalities if not is_zero_vec(vec(a))})
-        eqs = [vec(b) for b in equalities]
-        rays, lines = _double_description(rank, ineqs, eqs)
-        gens = list(rays)
-        for l in lines:
-            gens.append(l)
-            gens.append(vec_neg(l))
-        return cls.from_generators(gens, rank)
 
     @classmethod
     def zero(cls, rank: int) -> "Cone":

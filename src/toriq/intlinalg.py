@@ -7,6 +7,13 @@ provides Hermite and Smith normal forms with their unimodular transforms,
 saturated kernels, sublattices with canonical HNF bases, and an exact solver
 for monomial (torus character) equations.
 
+One elimination, ``_hermite``, computes every Hermite normal form.  The
+transform is carried as extra columns: ``hermite_normal_form`` reduces
+[m | I] on m's columns and splits off U, while ``Sublattice.from_rows``
+reduces the bare rows and builds no transform.  The vector leaves (``dot``,
+``vec``, ``is_zero_vec``, ``primitive``) run inside builtins (``map``,
+``sum``, ``any``, one ``math.gcd``), since every layer calls them.
+
 Rank, rational span and ray reduction share one fraction-free elimination
 (``_echelon`` and ``_clear``); inverses of unimodular matrices come from the
 HNF transform.  ``fractions.Fraction`` appears only in torus coordinates:
@@ -30,6 +37,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from math import gcd
+from operator import mul
 from typing import Iterable, Sequence
 
 IntVec = tuple[int, ...]
@@ -41,7 +49,7 @@ FracVec = tuple[Fraction, ...]
 
 
 def vec(values: Iterable[int]) -> IntVec:
-    return tuple(int(x) for x in values)
+    return tuple(map(int, values))
 
 
 def vec_sub(a: Sequence[int], b: Sequence[int]) -> IntVec:
@@ -53,18 +61,18 @@ def vec_neg(a: Sequence[int]) -> IntVec:
 
 
 def dot(a: Sequence[int], b: Sequence[int]) -> int:
-    return sum(x * y for x, y in zip(a, b, strict=True))
+    if len(a) != len(b):
+        raise ValueError(f"dot product of vectors of lengths {len(a)} and {len(b)}")
+    return sum(map(mul, a, b))
 
 
 def is_zero_vec(a: Sequence[int]) -> bool:
-    return all(x == 0 for x in a)
+    return not any(a)
 
 
 def primitive(a: Sequence[int]) -> IntVec:
     """Divide out the (positive) gcd of the entries, keeping orientation."""
-    g = 0
-    for x in a:
-        g = gcd(g, x)
+    g = gcd(*a)
     if g <= 1:
         return tuple(a)
     return tuple(x // g for x in a)
@@ -249,15 +257,13 @@ def reduce_mod_span(v: Sequence[int], echelon_rows: Sequence[Sequence[int]]) -> 
 # normal forms
 
 
-def hermite_normal_form(m: IntMatrix) -> tuple[IntMatrix, IntMatrix]:
-    """Row-style Hermite normal form.
-
-    Returns (H, U) with U unimodular, U @ m == H, H in row echelon form with
-    positive pivots and entries above each pivot reduced into [0, pivot).
-    """
-    r, c = m.nrows, m.ncols
-    a = [list(row) for row in m.rows]
-    u = [[1 if i == j else 0 for j in range(r)] for i in range(r)]
+def _hermite(a: list[list[int]], c: int) -> None:
+    """Bring the first c columns of the rows a to row-style Hermite normal
+    form in place: row echelon form with positive pivots and entries above
+    each pivot reduced into [0, pivot).  Every row operation acts on whole
+    rows, so columns past c carry along whatever the caller appended (the
+    identity, for the transform)."""
+    r = len(a)
     piv_row = 0
     pivots: list[tuple[int, int]] = []
     for col in range(c):
@@ -267,7 +273,6 @@ def hermite_normal_form(m: IntMatrix) -> tuple[IntMatrix, IntMatrix]:
         if sel is None:
             continue
         a[piv_row], a[sel] = a[sel], a[piv_row]
-        u[piv_row], u[sel] = u[sel], u[piv_row]
         for i in range(piv_row + 1, r):
             if a[i][col] == 0:
                 continue
@@ -276,13 +281,8 @@ def hermite_normal_form(m: IntMatrix) -> tuple[IntMatrix, IntMatrix]:
                 [x * s + y * t for s, t in zip(a[piv_row], a[i])],
                 [-q * s + p * t for s, t in zip(a[piv_row], a[i])],
             )
-            u[piv_row], u[i] = (
-                [x * s + y * t for s, t in zip(u[piv_row], u[i])],
-                [-q * s + p * t for s, t in zip(u[piv_row], u[i])],
-            )
         if a[piv_row][col] < 0:
             a[piv_row] = [-x for x in a[piv_row]]
-            u[piv_row] = [-x for x in u[piv_row]]
         pivots.append((piv_row, col))
         piv_row += 1
     for prow, pcol in pivots:
@@ -291,10 +291,20 @@ def hermite_normal_form(m: IntMatrix) -> tuple[IntMatrix, IntMatrix]:
             q = a[i][pcol] // p
             if q != 0:
                 a[i] = [s - q * t for s, t in zip(a[i], a[prow])]
-                u[i] = [s - q * t for s, t in zip(u[i], u[prow])]
-    return IntMatrix(tuple(tuple(row) for row in a), c), IntMatrix(
-        tuple(tuple(row) for row in u), r
-    )
+
+
+def hermite_normal_form(m: IntMatrix) -> tuple[IntMatrix, IntMatrix]:
+    """Row-style Hermite normal form.
+
+    Returns (H, U) with U unimodular, U @ m == H, H in row echelon form with
+    positive pivots and entries above each pivot reduced into [0, pivot).
+    U is carried as extra columns: ``_hermite`` reduces [m | I] on its first
+    ``ncols`` columns, and the result splits into [H | U].
+    """
+    r, c = m.nrows, m.ncols
+    a = [list(row) + [int(i == j) for j in range(r)] for i, row in enumerate(m.rows)]
+    _hermite(a, c)
+    return IntMatrix([row[:c] for row in a], c), IntMatrix([row[c:] for row in a], r)
 
 
 def smith_normal_form(m: IntMatrix) -> tuple[IntMatrix, IntMatrix, IntMatrix]:
@@ -405,15 +415,12 @@ class Sublattice:
 
     @classmethod
     def from_rows(cls, ambient: int, rows: Iterable[Sequence[int]]) -> "Sublattice":
-        rows_t = [vec(r) for r in rows]
-        for r in rows_t:
+        a = [list(map(int, r)) for r in rows]
+        for r in a:
             if len(r) != ambient:
                 raise ValueError("basis vector has wrong length")
-        if not rows_t:
-            return cls(ambient, ())
-        h, _ = hermite_normal_form(IntMatrix(rows_t, ambient))
-        kept = tuple(r for r in h.rows if not is_zero_vec(r))
-        return cls(ambient, kept)
+        _hermite(a, ambient)
+        return cls(ambient, tuple(tuple(r) for r in a if any(r)))
 
     @classmethod
     def zero(cls, ambient: int) -> "Sublattice":

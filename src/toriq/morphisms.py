@@ -356,8 +356,10 @@ def fiber_lattice(m: ToricMorphism, gamma: OrbitIndex) -> Sublattice:
     """The subtorus of every fiber piece over gamma's orbit: the saturated
     kernel of the exponent matrix of ``fiber_equation``, which is the perp of
     its rows.  It does not depend on the point, and no equation is solved;
-    for an identity lattice map the rows are ``span_perp(gamma)``, and the
-    perp is gamma's ``span_lattice``."""
+    for an identity lattice map the rows are ``span_perp(gamma)``, so the
+    perp is gamma's ``span_lattice``, returned with no elimination."""
+    if m.matrix == IntMatrix.identity(m.matrix.ncols):
+        return gamma.cone.span_lattice
     rows = (IntMatrix(gamma.cone.span_perp.basis, m.matrix.nrows) @ m.matrix).rows
     return Sublattice.from_rows(m.matrix.ncols, rows).perp()
 

@@ -16,7 +16,17 @@ from math import gcd
 from toriq import cones, intlinalg
 from toriq.cones import Cone, image_cone
 from toriq.fans import Fan, OrbitIndex, system_view
-from toriq.intlinalg import IntMatrix, Sublattice, dot, kernel_saturated, primitive
+from toriq.intlinalg import (
+    IntMatrix,
+    Sublattice,
+    bezout_2x2,
+    dot,
+    is_zero_vec,
+    kernel_saturated,
+    primitive,
+    vec,
+    vec_neg,
+)
 from toriq.morphisms import IncompatibleMorphism, fiber_pieces, orbit_limit_targets
 from toriq.points import OrbitPoint, TorusElement
 from toriq.separation import IdentClass, IdentificationPartition, MergeEvent, _test_vectors
@@ -32,6 +42,49 @@ def minor_gcd(m: IntMatrix, k: int) -> int:
             sub = IntMatrix([[m.rows[i][j] for j in csel] for i in rsel], k)
             g = gcd(g, sub.det())
     return g
+
+
+def two_list_hermite_normal_form(m: IntMatrix) -> tuple[IntMatrix, IntMatrix]:
+    """Row-style Hermite normal form (H, U) with U @ m == H, eliminating on
+    H and applying each row operation again to a separate transform U."""
+    r, c = m.nrows, m.ncols
+    a = [list(row) for row in m.rows]
+    u = [[1 if i == j else 0 for j in range(r)] for i in range(r)]
+    piv_row = 0
+    pivots: list[tuple[int, int]] = []
+    for col in range(c):
+        if piv_row >= r:
+            break
+        sel = next((i for i in range(piv_row, r) if a[i][col] != 0), None)
+        if sel is None:
+            continue
+        a[piv_row], a[sel] = a[sel], a[piv_row]
+        u[piv_row], u[sel] = u[sel], u[piv_row]
+        for i in range(piv_row + 1, r):
+            if a[i][col] == 0:
+                continue
+            g, x, y, p, q = bezout_2x2(a[piv_row][col], a[i][col])
+            a[piv_row], a[i] = (
+                [x * s + y * t for s, t in zip(a[piv_row], a[i])],
+                [-q * s + p * t for s, t in zip(a[piv_row], a[i])],
+            )
+            u[piv_row], u[i] = (
+                [x * s + y * t for s, t in zip(u[piv_row], u[i])],
+                [-q * s + p * t for s, t in zip(u[piv_row], u[i])],
+            )
+        if a[piv_row][col] < 0:
+            a[piv_row] = [-x for x in a[piv_row]]
+            u[piv_row] = [-x for x in u[piv_row]]
+        pivots.append((piv_row, col))
+        piv_row += 1
+    for prow, pcol in pivots:
+        p = a[prow][pcol]
+        for i in range(prow):
+            q = a[i][pcol] // p
+            if q != 0:
+                a[i] = [s - q * t for s, t in zip(a[i], a[prow])]
+                u[i] = [s - q * t for s, t in zip(u[i], u[prow])]
+    return IntMatrix(a, c), IntMatrix(u, r)
 
 
 def rational_nullspace(rows: list[tuple[int, ...]], ncols: int) -> list[tuple[int, ...]]:
@@ -219,11 +272,19 @@ def dd_face_from_tight(c: Cone, tight) -> Cone:
     return Cone.from_generators(gens, c.ambient)
 
 
+def from_inequalities(inequalities, equalities, rank: int) -> Cone:
+    """The cone {x : <a,x> >= 0, <b,x> = 0} in canonical form: one description
+    pass to its rays and lines, then ``Cone.from_generators``."""
+    ineqs = sorted({primitive(vec(a)) for a in inequalities if not is_zero_vec(vec(a))})
+    rays, lines = cones._double_description(rank, ineqs, [vec(b) for b in equalities])
+    return Cone.from_generators(rays + lines + [vec_neg(l) for l in lines], rank)
+
+
 @unmemoised()
 def dd_face_from_values(chart: Cone, nonzero) -> Cone:
     """The face of a chart on which the given characters of its dual
     semigroup vanish: the chart meet their perp, by description passes."""
-    return Cone.from_inequalities(
+    return from_inequalities(
         chart.facet_normals, list(chart.span_perp.basis) + list(nonzero), chart.ambient
     )
 
@@ -232,7 +293,7 @@ def dd_face_from_values(chart: Cone, nonzero) -> Cone:
 def dd_intersect(a: Cone, b: Cone) -> Cone:
     """The intersection of two cones from both cones' facet normals and
     ``span_perp`` bases, by three description passes."""
-    return Cone.from_inequalities(
+    return from_inequalities(
         a.facet_normals + b.facet_normals, a.span_perp.basis + b.span_perp.basis, a.ambient
     )
 
@@ -269,7 +330,7 @@ def dd_limit_targets(space, orbit: OrbitIndex, v) -> tuple[OrbitIndex, ...]:
     out = set()
     for chart_id, _face in sys.realizations(orbit):
         chart = sys.charts[chart_id]
-        perp = Cone.from_inequalities([], orbit.cone.rays, sys.rank)
+        perp = from_inequalities([], orbit.cone.rays, sys.rank)
         dual_face = chart.dual().intersect(perp)
         if any(dot(l, v) != 0 for l in dual_face.lineality.basis):
             continue

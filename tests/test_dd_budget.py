@@ -19,7 +19,9 @@ one face per orbit or per distinct ray set.  A cone is its own full face,
 and a face equal to a live cone (a face shared by several charts, say) is
 that cone, found by its key before its orthogonal lattice is computed.
 Lattices are memoised the same way: ``Sublattice.perp`` runs one Smith normal
-form per distinct live input.
+form per distinct live input.  A lattice basis comes from the bare-row
+Hermite elimination, which builds no transform, and a description pass
+pairs each inserted row with each line and ray once.
 
 The pins are exact counts; each test's comment gives the larger count of
 the code that rebuilt meets, built every face of every chart, built each
@@ -59,7 +61,7 @@ def fresh_memos():
 
 @pytest.fixture
 def calls(monkeypatch):
-    counts = {"dd": 0, "intersect": 0, "face": 0, "snf": 0}
+    counts = {"dd": 0, "intersect": 0, "face": 0, "snf": 0, "hnf": 0}
 
     def counting(key, f):
         def wrapped(*args):
@@ -72,6 +74,8 @@ def calls(monkeypatch):
     monkeypatch.setattr(Cone, "_face_of_mask", counting("face", Cone._face_of_mask))
     monkeypatch.setattr(intlinalg, "smith_normal_form",
                         counting("snf", intlinalg.smith_normal_form))
+    monkeypatch.setattr(intlinalg, "hermite_normal_form",
+                        counting("hnf", intlinalg.hermite_normal_form))
     return counts
 
 
@@ -254,15 +258,36 @@ def test_quotient_check_on_torus_glued_p4(calls):
     # system reads the fan's 10 chart-pair meets, so 10 DD passes and 37
     # Smith normal forms run; computing each meet for the fan and again for
     # the system, and solving one torus equation per target orbit, made 20
-    # DD passes and 68 Smith normal forms
+    # DD passes and 68 Smith normal forms.  Every lattice basis comes from
+    # the bare-row Hermite elimination, so no Hermite transform is built;
+    # running ``hermite_normal_form`` and dropping its transform made 157
     charts = projective_space_charts(4)
-    calls.update(dd=0, intersect=0, face=0, snf=0)
+    calls.update(dd=0, intersect=0, face=0, snf=0, hnf=0)
     system, fan = FanSystem(charts), Fan(charts)
     kappa = comparison_morphism(system, fan)
     part = forced_identifications(system)
     ok, _ = partition_matches_fibers(part, kappa)
     assert ok and (len(part.classes), len(part.events)) == (31, 25)
-    assert (calls["dd"], calls["snf"]) == (10, 37)
+    assert (calls["dd"], calls["snf"], calls["hnf"]) == (10, 37, 0)
+
+
+def test_description_pass_pairs_each_row_once(monkeypatch):
+    # a P^4 chart from its 4 generators: two description passes, each
+    # pairing every inserted row with each current line and ray once;
+    # recomputing each pairing per coordinate of every new line and ray,
+    # and again for the sign test, made 126 dot products
+    count = [0]
+    dot = cones.dot
+
+    def counting(a, b):
+        count[0] += 1
+        return dot(a, b)
+
+    rays = [(0, 1, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1), (-1, -1, -1, -1)]
+    monkeypatch.setattr(cones, "dot", counting)
+    chart = Cone.from_generators(rays, 4)
+    assert len(chart.facet_normals) == 4 and chart.dim == 4
+    assert count[0] == 32
 
 
 def test_second_call_reads_the_cache(monkeypatch):

@@ -17,13 +17,20 @@ from toriq.intlinalg import (
     is_zero_vec,
     kernel_saturated,
     monomial_value,
+    primitive,
     rank_of_rows,
     reduce_mod_span,
     smith_normal_form,
     solve_torus_equation,
 )
 
-from _oracles import contains_rational, is_saturated, minor_gcd, rational_nullspace
+from _oracles import (
+    contains_rational,
+    is_saturated,
+    minor_gcd,
+    rational_nullspace,
+    two_list_hermite_normal_form,
+)
 
 P = IntMatrix([[1, 0, 0, 1], [0, 1, 0, 1], [0, 0, 1, 0]])
 
@@ -81,6 +88,80 @@ def test_hnf_shape_properties():
                 continue
             for above in range(i):
                 assert 0 <= h.rows[above][pivot] < row[pivot]
+
+
+def hnf_ladder(rng):
+    """Random matrices of every shape up to 5 x 5, and the shapes an
+    elimination mishandles first: zero rows and columns, rank deficiency,
+    negative leading entries, single rows and single columns."""
+    shapes = [(1, c) for c in range(1, 6)] + [(r, 1) for r in range(1, 6)]
+    shapes += [(r, c) for r in range(1, 6) for c in range(1, 6)] * 4
+    for r, c in shapes:
+        rows = [[rng.randint(-9, 9) for _ in range(c)] for _ in range(r)]
+        yield IntMatrix(rows, c)
+        if r > 1:
+            # a zero row, a row repeated with a multiple, and rank one
+            yield IntMatrix(rows[:-1] + [[0] * c], c)
+            yield IntMatrix(rows[:-1] + [[-3 * x for x in rows[0]]], c)
+            yield IntMatrix([[k * x for x in rows[0]] for k in range(-r // 2, r - r // 2)], c)
+        # a zero column, and a negative leading entry
+        yield IntMatrix([[0] + row[1:] for row in rows], c)
+        yield IntMatrix([[-abs(row[0]) - 1] + row[1:] for row in rows], c)
+    yield IntMatrix.zero(3, 4)
+
+
+def test_hnf_matches_the_two_list_elimination():
+    # the transform carried as extra columns gives the same (H, U) as
+    # applying each row operation again to a separate transform, and the
+    # bare-row elimination of ``Sublattice.from_rows`` keeps the same basis
+    rng = random.Random(141)
+    count = 0
+    for m in hnf_ladder(rng):
+        h, u = hermite_normal_form(m)
+        assert (h, u) == two_list_hermite_normal_form(m), m
+        kept = tuple(r for r in h.rows if not is_zero_vec(r))
+        assert Sublattice.from_rows(m.ncols, m.rows).basis == kept, m
+        count += 1
+    assert count > 500
+
+
+def test_hnf_of_empty_and_degenerate_shapes():
+    h, u = hermite_normal_form(IntMatrix([], 3))
+    assert (h.rows, h.ncols, u.rows, u.ncols) == ((), 3, (), 0)
+    assert Sublattice.from_rows(3, []).basis == ()
+    assert Sublattice.from_rows(2, [(0, 0), (0, 0)]).basis == ()
+    assert Sublattice.from_rows(2, [(-2, 4), (3, -6)]).basis == ((1, -2),)
+    with pytest.raises(ValueError):
+        Sublattice.from_rows(2, [(1, 2, 3)])
+
+
+# ---------------------------------------------------------------------------
+# vector leaves
+
+
+def test_dot_rejects_vectors_of_different_lengths():
+    assert dot((1, -2, 3), (4, 5, 6)) == 12
+    assert dot((), ()) == 0
+    for a, b in [((1, 2), (1, 2, 3)), ((1, 2, 3), (1, 2)), ((), (1,))]:
+        with pytest.raises(ValueError):
+            dot(a, b)
+
+
+def test_primitive_keeps_orientation():
+    assert primitive(()) == ()
+    assert primitive((0, 0, 0)) == (0, 0, 0)
+    assert primitive((-4, 6, 0)) == (-2, 3, 0)
+    assert primitive((-3, -6)) == (-1, -2)
+    assert primitive((0, -5)) == (0, -1)
+    assert primitive((-6,)) == (-1,) and primitive((0,)) == (0,)
+    assert primitive([2, -1]) == (2, -1)
+    assert isinstance(primitive([4, 2]), tuple) and isinstance(primitive([3, 2]), tuple)
+
+
+def test_is_zero_vec_on_ints_and_fractions():
+    assert is_zero_vec(()) and is_zero_vec((0, 0)) and not is_zero_vec((0, -1))
+    assert is_zero_vec((Fraction(0), Fraction(0, 5)))
+    assert not is_zero_vec((Fraction(0), Fraction(1, 3)))
 
 
 # ---------------------------------------------------------------------------

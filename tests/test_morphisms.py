@@ -6,7 +6,7 @@ import pytest
 
 from toriq.cones import Cone, dual_cone, semigroup_generators
 from toriq.fans import Fan, FanSystem, build_fan, system_view
-from toriq.intlinalg import Inconsistent, IntMatrix
+from toriq.intlinalg import Inconsistent, IntMatrix, Sublattice
 from toriq.morphisms import (
     ConstructibleOrbitSet,
     IncompatibleMorphism,
@@ -27,7 +27,7 @@ from toriq.morphisms import (
 from toriq.points import OrbitPoint, TorusElement, act, distinguished_point, torus_point
 from toriq.scene import load_scene
 
-from toriq.separation import _test_vectors
+from toriq.separation import _test_vectors, comparison_morphism
 
 from _oracles import (
     dd_limit_targets,
@@ -437,6 +437,49 @@ def test_fiber_lattice_is_the_fiber_equations_kernel(ex):
                 if not isinstance(sol, Inconsistent):
                     assert lattice == sol.kernel, (m, gamma, t)
     assert seen["CosetSolution"] > 500 and seen["NoRationalPoint"] and seen["Inconsistent"]
+
+
+def test_fiber_lattice_of_an_identity_map_is_the_span_lattice():
+    # the comparison morphism of torus-glued P^4 maps lattices by the
+    # identity, so each fiber lattice is the target orbit cone's own
+    # span lattice object, with no elimination
+    rays = [tuple(int(i == j) for j in range(4)) for i in range(4)] + [(-1,) * 4]
+    charts = [
+        Cone.from_generators([r for k, r in enumerate(rays) if k != skip], 4)
+        for skip in range(5)
+    ]
+    kappa = comparison_morphism(FanSystem(charts), Fan(charts))
+    targets = set(kappa.orbit_assignment.values())
+    assert kappa.matrix == IntMatrix.identity(4) and len(targets) == 31
+    for gamma in targets:
+        assert fiber_lattice(kappa, gamma) is gamma.cone.span_lattice
+
+
+def test_fiber_lattice_is_the_perp_of_the_pulled_back_rows(ex):
+    # the fiber lattice is the perp of span_perp(gamma) pulled back along
+    # the map, and the kernel of the fiber equation, whether the map is the
+    # identity (``fold``, read off gamma's span lattice) or not
+    scenes = Path(__file__).resolve().parent.parent / "scenes"
+    fold = load_scene(scenes / "punctured-plane.json").morphisms["fold"]
+    rng = random.Random(59)
+    fan = build_fan([ray((1, 0, 0), (0, 1, 0), (1, 1, 2)), ray((0, 1, 0), (-1, 0, 0))])
+    u = random_unimodular(rng, 3)
+    while u == IntMatrix.identity(3):
+        u = random_unimodular(rng, 3)
+    moved = Fan([Cone.from_generators(map(u.apply, c.rays), 3) for c in fan.maximal_cones])
+    morphisms = (ex.pi, fold, toric_morphism(u, fan, moved))
+    assert [m.matrix == IntMatrix.identity(m.matrix.ncols) for m in morphisms] == [
+        False, True, False
+    ]
+    for m in morphisms:
+        for gamma in system_view(m.target).orbits():
+            pulled = IntMatrix(gamma.cone.span_perp.basis, m.matrix.nrows) @ m.matrix
+            expected = Sublattice.from_rows(m.matrix.ncols, pulled.rows).perp()
+            lattice = fiber_lattice(m, gamma)
+            assert lattice == expected, (m, gamma)
+            sol = fiber_equation(m, gamma, TorusElement.identity(m.matrix.nrows))[2]
+            if not isinstance(sol, Inconsistent):
+                assert lattice == sol.kernel, (m, gamma)
 
 
 def test_fiber_soundness_random_targets(ex):
