@@ -18,7 +18,7 @@ import sys
 from fractions import Fraction
 
 from .cones import Cone
-from .fans import Fan, FanSystem, FanViolation, system_view
+from .fans import Fan, FanViolation
 from .intlinalg import IntVec
 from .morphisms import (
     ParametricCoset,
@@ -71,14 +71,14 @@ def _s_cone(scene: Scene, c: Cone) -> dict:
 
 
 def _orbit_label(scene: Scene, space, orbit) -> str:
-    prefix = "~y" if isinstance(space, FanSystem) else "y"
+    prefix = "y" if isinstance(space, Fan) else "~y"
     if orbit.cone.dim == 0:
         return prefix + "0"
     name = scene.cone_name(orbit.cone)
     if name is None:
         name = f"cone{list(orbit.cone.rays)}"
     try:
-        system_view(space).orbit_of_cone(orbit.cone)
+        space.orbit_of_cone(orbit.cone)
     except ValueError:
         # several distinct orbits share this cone; qualify by chart
         return f"{prefix}_{name}#{orbit.chart}"
@@ -182,11 +182,10 @@ def _parse_point(scene: Scene, space, text: str) -> OrbitPoint:
         if p.space != space:
             raise UsageError(f"point {text!r} lives on a different space")
         return p
-    sys = system_view(space)
     if text.startswith("torus:"):
         coords = [parse_rational(x.strip(), "point") for x in text[6:].split(",")]
-        _check_rank("--point", text, coords, sys.rank)
-        orbit = sys.orbit(0, Cone.zero(sys.rank))
+        _check_rank("--point", text, coords, space.rank)
+        orbit = space.orbit(0, Cone.zero(space.rank))
         return OrbitPoint.make(space, orbit, TorusElement(coords))
     coset = None
     if "@" in text:
@@ -194,17 +193,17 @@ def _parse_point(scene: Scene, space, text: str) -> OrbitPoint:
         coset = TorusElement(
             [parse_rational(x.strip(), "point") for x in coset_text.split(",")]
         )
-        _check_rank("--point", f"{text}@{coset_text}", coset.coords, sys.rank)
+        _check_rank("--point", f"{text}@{coset_text}", coset.coords, space.rank)
     if "/" in text:
         chart_name, _, face_name = text.partition("/")
         chart_cone = scene.cone(chart_name)
-        matches = [i for i, c in enumerate(sys.charts) if c == chart_cone]
+        matches = [i for i, c in enumerate(space.charts) if c == chart_cone]
         if len(matches) != 1:
             raise UsageError(f"chart {chart_name!r} not found uniquely")
-        orbit = sys.orbit(matches[0], scene.cone(face_name))
+        orbit = space.orbit(matches[0], scene.cone(face_name))
     else:
-        orbit = sys.orbit_of_cone(scene.cone(text))
-    point = OrbitPoint.make(space, orbit, TorusElement.identity(sys.rank))
+        orbit = space.orbit_of_cone(scene.cone(text))
+    point = OrbitPoint.make(space, orbit, TorusElement.identity(space.rank))
     if coset is not None:
         point = act(coset, point)
     return point
@@ -304,7 +303,7 @@ def _run(scene: Scene, args) -> tuple[dict, int]:
     if cmd == "limits":
         name = args.system or args.fan
         space = scene.space(name)
-        if args.system and not isinstance(space, FanSystem):
+        if args.system and isinstance(space, Fan):
             raise UsageError(f"{name!r} is not a system")
         if args.fan and not isinstance(space, Fan):
             raise UsageError(f"{name!r} is not a fan")
@@ -320,7 +319,7 @@ def _run(scene: Scene, args) -> tuple[dict, int]:
         }, 0
     if cmd == "identify":
         space = scene.space(args.system)
-        if not isinstance(space, FanSystem):
+        if isinstance(space, Fan):
             raise UsageError(f"{args.system!r} is not a system")
         part = forced_identifications(space)
         return {

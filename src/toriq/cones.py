@@ -10,17 +10,19 @@ and hashing structural.
 A cone built from generators takes two description passes: generators ->
 inequalities gives the facet normals (these are the canonical extreme rays
 of the dual cone), and inequalities -> generators gives the canonical rays.
-Duality is then a pure swap of the stored data.  A face of a pointed cone is
-a ray mask: the faces are the intersections of facet incidence masks
-(Kaibel-Pfetsch), and the smallest face holding a point is the AND of the
-masks of the facet normals tight there.  A face is built from its mask with
-no description pass (its facets are read off the parent's facet normals and
-a per-mask dimension table), on the first lookup of its mask, and once per
-mask.  A cone is a face of a pointed cone iff it is pointed and its rays
-are the rays of a face mask, so that test is a lookup.  An intersection
-takes one description pass on both cones' facet normals; a meet that is a
-face of a pointed operand is read off that operand's face table, and any
-other meet is canonicalised from generators.
+Duality is then a pure swap of the stored data.  A face of any cone is a
+ray mask: every face holds the lineality space, and the canonical rays are
+already reduced modulo it, so they are the rays of the pointed quotient.
+The faces are the intersections of facet incidence masks (Kaibel-Pfetsch),
+and the smallest face holding a point is the AND of the masks of the facet
+normals tight there.  A face is built from its mask with no description
+pass (its facets are read off the parent's facet normals and a per-mask
+dimension table), on the first lookup of its mask, and once per mask.  A
+cone is a face of another iff their lineality lattices are equal and its
+rays are the rays of a face mask, so that test is a lookup.  An
+intersection takes one description pass on both cones' facet normals; a
+meet that is a face of a pointed operand is read off that operand's face
+table, and any other meet is canonicalised from generators.
 
 Equal cones are built once while any copy is alive.  ``_CONES``, a
 ``WeakValueDictionary``, maps ``Cone.key()`` to the live cone with that key,
@@ -268,10 +270,7 @@ class Cone:
             return PointClassification.outside()
         if all(values):
             return PointClassification.relint()
-        if self.is_pointed:
-            return PointClassification.on_face(self._face(self.face_mask(v)))
-        tight = [u for u, x in zip(self.facet_normals, values) if x == 0]
-        return PointClassification.on_face(self._face_from_tight(tight))
+        return PointClassification.on_face(self._face(self.face_mask(v)))
 
     # -- faces as ray masks: bit k stands for rays[k] -------------------------
 
@@ -295,10 +294,9 @@ class Cone:
 
     @cached_property
     def face_masks(self) -> frozenset[int]:
-        """The masks of all faces of a pointed cone: the intersections of
-        facet incidence masks (Kaibel-Pfetsch)."""
-        if not self.is_pointed:
-            raise ValueError("face enumeration requires a pointed cone")
+        """The masks of all faces: the intersections of facet incidence
+        masks (Kaibel-Pfetsch).  Mask 0 is the lineality space, the smallest
+        face."""
         masks = {(1 << len(self.rays)) - 1}
         for z in self.incidence:
             masks |= {m & z for m in masks}
@@ -328,18 +326,21 @@ class Cone:
 
     @cached_property
     def _mask_dims(self) -> dict[int, int]:
-        """Per face mask, the dimension of its face."""
+        """Per face mask, the dimension of its face modulo the lineality
+        space (the rank of its canonical rays)."""
         return {m: rank_of_rows(self._rays_of(m)) for m in self.face_masks}
 
     def _face_of_mask(self, mask: int) -> "Cone":
-        """The face of this pointed cone with the given ray mask, built with
-        no description pass.  A facet of the face is cut out by every parent
-        facet normal whose zero set on the face's rays has dimension one less."""
+        """The face of this cone with the given ray mask, built with no
+        description pass; it has this cone's lineality.  A facet of the face
+        is cut out by every parent facet normal whose zero set on the face's
+        rays has dimension one less."""
         rays, dims = self._rays_of(mask), self._mask_dims
-        face = _CONES.get((self.ambient, rays, self.lineality.basis))
+        lin = self.lineality.basis
+        face = _CONES.get((self.ambient, rays, lin))
         if face is not None:
             return face
-        span_perp = Sublattice.from_rows(self.ambient, rays).perp()
+        span_perp = Sublattice.from_rows(self.ambient, rays + lin).perp()
         normals = [
             u for u, z in zip(self.facet_normals, self.incidence)
             if dims[mask & z] == dims[mask] - 1
@@ -368,18 +369,16 @@ class Cone:
         """All faces of a pointed cone, ordered by (dim, generators), the
         cone itself last; one cone is built per proper face mask.  The tuple
         is built on each call, as it holds the cone itself."""
+        if not self.is_pointed:
+            raise ValueError("face enumeration requires a pointed cone")
         return tuple(sorted(map(self._face, self.face_masks), key=lambda c: (c.dim, c.rays)))
 
     def _face_from_tight(self, tight: Sequence[IntVec]) -> "Cone":
         """The face on which the dual vectors ``tight`` vanish.  They are
-        nonnegative on the cone, so on a pointed cone it is the face whose
-        rays are those on which their sum vanishes."""
-        if self.is_pointed:
-            total = tuple(map(sum, zip((0,) * self.ambient, *tight)))
-            return self._face(self._zero_mask(total))
-        gens = [r for r in self.rays if all(dot(u, r) == 0 for u in tight)]
-        gens += [x for b in self.lineality.basis for x in (b, vec_neg(b))]
-        return Cone.from_generators(gens, self.ambient)
+        nonnegative on the cone, so it is the face whose rays are those on
+        which their sum vanishes."""
+        total = tuple(map(sum, zip((0,) * self.ambient, *tight)))
+        return self._face(self._zero_mask(total))
 
     @cached_property
     def _semigroup(self) -> tuple[IntVec, ...]:
@@ -397,24 +396,16 @@ class Cone:
         return tuple(sorted(set(lifted + extra)))
 
     def is_face_of(self, other: "Cone") -> bool:
-        """Is this cone a face of ``other``?  A face of a pointed cone is a
-        ray mask: this cone must be pointed, its rays must be rays of
-        ``other``, and their mask must be in ``other.face_masks``, so no dot
-        product is taken.  For ``other`` with lineality, the face cut out by
-        the facet normals tight on this cone must be this cone."""
+        """Is this cone a face of ``other``?  A face is a ray mask with the
+        same lineality: the lineality lattices must be equal, this cone's
+        rays must be rays of ``other``, and their mask must be in
+        ``other.face_masks``, so no dot product is taken."""
         if self.ambient != other.ambient:
             raise ValueError("rank mismatch")
-        if other.is_pointed:
-            mask = other.mask_of(self.rays)
-            return self.is_pointed and mask is not None and mask in other.face_masks
-        if not other.contains_cone(self):
+        if self.lineality != other.lineality:
             return False
-        tight = [
-            u
-            for u in other.facet_normals
-            if all(dot(u, g) == 0 for g in self.generators())
-        ]
-        return other._face_from_tight(tight) == self
+        mask = other.mask_of(self.rays)
+        return mask is not None and mask in other.face_masks
 
     def intersect(self, other: "Cone") -> "Cone":
         """The intersection, by one description pass on both cones' facet

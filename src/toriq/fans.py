@@ -1,11 +1,13 @@
-"""Fans and fan systems.
+"""Fan systems and fans.
 
-A ``Fan`` is a finite collection of pointed cones closed under faces and
-intersecting pairwise in common faces; it models a separated toric variety.
 A ``FanSystem`` is a list of pointed chart cones together with an explicit
 gluing face for every pair of charts; when a gluing face is smaller than the
 set-theoretic intersection of the charts the glued space is a non-separated
-prevariety.
+prevariety.  A ``Fan`` is the separated case: a finite collection of
+pointed cones closed under faces and intersecting pairwise in common faces,
+which is the system of its maximal cones glued along their full pairwise
+intersections.  So ``Fan`` is a ``FanSystem`` whose charts are its maximal
+cones, and every orbit query reads the same chart system.
 
 Orbits are indexed by (chart, face) pairs; two pairs denote the same orbit
 exactly when the face is contained in the gluing cone of the chart pair.
@@ -73,11 +75,11 @@ class FanSystem:
         zero = Cone.zero(self.rank)
         table: dict[tuple[int, int], Cone] = {}
         gluing = dict(gluing or {})
-        for key in list(gluing):
-            i, j = key
+        for i, j in list(gluing):
             if i > j:
-                gluing.setdefault((j, i), gluing[key])
-                del gluing[key]
+                if (j, i) in gluing:
+                    raise GluingViolation(f"charts {j}, {i} are glued more than once")
+                gluing[(j, i)] = gluing.pop((i, j))
         for i in range(len(charts)):
             for j in range(i + 1, len(charts)):
                 g = gluing.pop((i, j), zero)
@@ -115,9 +117,8 @@ class FanSystem:
         return all(g == self.meet(i, j) for (i, j), g in self.gluing.items())
 
     def meet(self, i: int, j: int) -> Cone:
-        """The intersection of charts i and j, kept once per pair; a live fan
-        over the same charts has already computed it (``Cone.intersect`` is
-        memoised)."""
+        """The intersection of charts i and j, kept once per pair; equal
+        charts share it while it is alive (``Cone.intersect`` is memoised)."""
         key = (min(i, j), max(i, j))
         if key not in self._meets:
             self._meets[key] = self.charts[i].intersect(self.charts[j])
@@ -240,31 +241,33 @@ class FanSystem:
         return False
 
 
-class Fan:
-    """A fan: pointed cones closed under faces, pairwise meeting in faces."""
+class Fan(FanSystem):
+    """A fan: pointed cones closed under faces, pairwise meeting in faces.
+    As a chart system its charts are the maximal cones, glued along their
+    pairwise intersections."""
 
     def __init__(self, maximal_cones: Iterable[Cone]):
         cones = list(maximal_cones)
         if not cones:
             raise ValueError("a fan needs at least one cone")
-        self.rank = cones[0].ambient
+        rank = cones[0].ambient
         for c in cones:
-            if c.ambient != self.rank:
+            if c.ambient != rank:
                 raise ValueError("cones live in different ranks")
             if not c.is_pointed:
                 raise ValueError("fan cones must be pointed")
-        self._meets: dict[frozenset[Cone], Cone] = {}
+        meets: dict[frozenset[Cone], Cone] = {}
         for i in range(len(cones)):
             for j in range(i + 1, len(cones)):
                 meet = cones[i].intersect(cones[j])
                 if not (meet.is_face_of(cones[i]) and meet.is_face_of(cones[j])):
                     raise FanViolation(i, j)
-                self._meets[frozenset((cones[i], cones[j]))] = meet
+                meets[frozenset((cones[i], cones[j]))] = meet
         # a cone lies in another iff it is their meet
         maximal = [
             c
             for i, c in enumerate(cones)
-            if not any(j != i and cones[j] != c and self._meets[frozenset((c, cones[j]))] == c
+            if not any(j != i and cones[j] != c and meets[frozenset((c, cones[j]))] == c
                        for j in range(len(cones)))
         ]
         # keep one copy of exact duplicates
@@ -280,7 +283,18 @@ class Fan:
                 first.setdefault(c._rays_of(mask), (c, mask))
         faces = (c._face(mask) for c, mask in first.values())
         self.all_cones = tuple(sorted(faces, key=lambda c: (c.dim, c.rays)))
-        self._system: FanSystem | None = None
+        charts = self.maximal_cones
+        gluing = {
+            (i, j): meets[frozenset((a, b))]
+            for i, a in enumerate(charts)
+            for j, b in enumerate(charts[i + 1:], i + 1)
+        }
+        super().__init__(charts, gluing, rank=rank)
+
+    def meet(self, i: int, j: int) -> Cone:
+        """A fan is glued along full intersections: the meet is the gluing
+        cone."""
+        return self.gluing_cone(i, j)
 
     # -- queries --------------------------------------------------------------
 
@@ -304,25 +318,6 @@ class Fan:
     def support_contains(self, v: Sequence[int]) -> bool:
         v = vec(v)
         return any(c.contains_point(v) for c in self.maximal_cones)
-
-    def as_system(self) -> FanSystem:
-        """The fan as a chart system glued along full intersections."""
-        if self._system is None:
-            charts = self.maximal_cones
-            gluing = {
-                (i, j): self._meets[frozenset((a, b))]
-                for i, a in enumerate(charts)
-                for j, b in enumerate(charts[i + 1:], i + 1)
-            }
-            self._system = FanSystem(charts, gluing, rank=self.rank)
-            self._system._meets.update(gluing)
-        return self._system
-
-    def orbit_of_cone(self, cone: Cone) -> OrbitIndex:
-        return self.as_system().orbit_of_cone(cone)
-
-    def orbits(self) -> tuple[OrbitIndex, ...]:
-        return self.as_system().orbits()
 
     # -- identity --------------------------------------------------------------
 
@@ -354,6 +349,7 @@ def minimal_cone_containing(fan: Fan, target: Cone | Sequence[int]) -> Cone | No
     return fan.minimal_cone_containing(target)
 
 
-def system_view(space: Fan | FanSystem) -> FanSystem:
-    """Uniform chart-system view of a fan or a fan system."""
-    return space.as_system() if isinstance(space, Fan) else space
+def system_view(space: FanSystem) -> FanSystem:
+    """The space itself: a fan is already its own chart system.  The
+    benchmark workloads in ``perfbench/`` still call it."""
+    return space

@@ -167,32 +167,6 @@ class IntMatrix:
             tuple(tuple(dot(r, c) for c in cols) for r in self.rows), other.ncols
         )
 
-    def det(self) -> int:
-        """Exact determinant by fraction-free Bareiss elimination."""
-        if self.nrows != self.ncols:
-            raise ValueError("determinant of a non-square matrix")
-        n = self.nrows
-        if n == 0:
-            return 1
-        a = [list(r) for r in self.rows]
-        sign = 1
-        prev = 1
-        for k in range(n - 1):
-            if a[k][k] == 0:
-                for i in range(k + 1, n):
-                    if a[i][k] != 0:
-                        a[k], a[i] = a[i], a[k]
-                        sign = -sign
-                        break
-                else:
-                    return 0
-            for i in range(k + 1, n):
-                for j in range(k + 1, n):
-                    a[i][j] = (a[i][j] * a[k][k] - a[i][k] * a[k][j]) // prev
-                a[i][k] = 0
-            prev = a[k][k]
-        return sign * a[n - 1][n - 1]
-
     def rank(self) -> int:
         return rank_of_rows(self.rows)
 

@@ -13,7 +13,7 @@ from fractions import Fraction
 from typing import Sequence
 
 from .cones import Cone
-from .fans import Fan, FanSystem, OrbitIndex, system_view
+from .fans import Fan, FanSystem, OrbitIndex
 from .intlinalg import (
     CosetSolution,
     Inconsistent,
@@ -54,8 +54,8 @@ class ToricMorphism:
     def __init__(
         self,
         matrix: IntMatrix,
-        source: Fan | FanSystem,
-        target: Fan | FanSystem,
+        source: FanSystem,
+        target: FanSystem,
     ):
         if matrix.ncols != source.rank or matrix.nrows != target.rank:
             raise ValueError(
@@ -65,13 +65,11 @@ class ToricMorphism:
         self.matrix = matrix
         self.source = source
         self.target = target
-        src = system_view(source)
-        tgt = system_view(target)
         self.chart_assignment: list[int] = []
-        for chart in src.charts:
+        for chart in source.charts:
             images = [matrix.apply(g) for g in chart.generators()]
             pick = next(
-                (j for j, tc in enumerate(tgt.charts) if all(map(tc.contains_point, images))),
+                (j for j, tc in enumerate(target.charts) if all(map(tc.contains_point, images))),
                 None,
             )
             if pick is None:
@@ -81,17 +79,17 @@ class ToricMorphism:
         # smallest face of its target chart holding the image of the source
         # face's relative-interior point; both faces are ray masks
         self.orbit_assignment: dict[OrbitIndex, OrbitIndex] = {}
-        for orbit, reals in zip(src.orbits(), src.orbit_masks):
+        for orbit, reals in zip(source.orbits(), source.orbit_masks):
             targets = set()
             for i, mask in reals:
                 j = self.chart_assignment[i]
-                p = matrix.apply(src.charts[i].mask_point(mask))
-                targets.add(tgt.orbit_of_mask[j][tgt.charts[j].face_mask(p)])
+                p = matrix.apply(source.charts[i].mask_point(mask))
+                targets.add(target.orbit_of_mask[j][target.charts[j].face_mask(p)])
             if len(targets) > 1:
                 raise IncompatibleMorphism(
                     orbit.cone, "chart realizations assign the orbit to different targets"
                 )
-            self.orbit_assignment[orbit] = tgt.orbits()[targets.pop()]
+            self.orbit_assignment[orbit] = target.orbits()[targets.pop()]
 
     def __repr__(self) -> str:
         return f"ToricMorphism({self.matrix.nrows}x{self.matrix.ncols})"
@@ -106,19 +104,18 @@ class ToricMorphism:
             if p.space != self.source:
                 raise ValueError("point does not live on the morphism's source")
             return p
+        src = self.source
         if isinstance(p, TorusElement):
-            src = system_view(self.source)
             orbit = src.orbit(0, Cone.zero(src.rank))
-            return OrbitPoint.make(self.source, orbit, p)
+            return OrbitPoint.make(src, orbit, p)
         if isinstance(p, ToricPoint):
-            src = system_view(self.source)
             chart_id = next(
                 (i for i, c in enumerate(src.charts) if c == p.chart), None
             )
             if chart_id is None:
                 raise ValueError("chart of the point is not a chart of the source")
             orbit = src.orbit(chart_id, p.face)
-            return OrbitPoint.make(self.source, orbit, p.coset)
+            return OrbitPoint.make(src, orbit, p.coset)
         raise TypeError(f"cannot interpret {type(p).__name__} as a source point")
 
     def apply(self, p) -> OrbitPoint:
@@ -131,8 +128,7 @@ class ToricMorphism:
 
     def cone_assignment(self, sigma: Cone | OrbitIndex) -> Cone:
         """The minimal target cone containing the image of a source cone."""
-        src = system_view(self.source)
-        orbit = sigma if isinstance(sigma, OrbitIndex) else src.orbit_of_cone(sigma)
+        orbit = sigma if isinstance(sigma, OrbitIndex) else self.source.orbit_of_cone(sigma)
         return self.orbit_assignment[orbit].cone
 
     def orbit_image(self, sigma: Cone | OrbitIndex) -> tuple[OrbitIndex, bool]:
@@ -142,8 +138,7 @@ class ToricMorphism:
         N / sat(span sigma) -> N' / sat(span gamma) is decided by its Smith
         normal form.
         """
-        src = system_view(self.source)
-        orbit = sigma if isinstance(sigma, OrbitIndex) else src.orbit_of_cone(sigma)
+        orbit = sigma if isinstance(sigma, OrbitIndex) else self.source.orbit_of_cone(sigma)
         tgt_orbit = self.orbit_assignment[orbit]
         tgt_span = tgt_orbit.cone.span_lattice
         if tgt_span.rank == tgt_span.ambient:
@@ -166,7 +161,7 @@ class ConstructibleOrbitSet:
 
 
 def toric_morphism(
-    matrix: IntMatrix, source: Fan | FanSystem, target: Fan | FanSystem
+    matrix: IntMatrix, source: FanSystem, target: FanSystem
 ) -> ToricMorphism:
     return ToricMorphism(matrix, source, target)
 
@@ -184,9 +179,8 @@ def image_constructible(m: ToricMorphism) -> ConstructibleOrbitSet:
     onto its target orbit."""
     if not isinstance(m.target, Fan):
         raise ValueError("constructible images are computed for fan targets")
-    src = system_view(m.source)
     present: set[Cone] = set()
-    for orbit in src.orbits():
+    for orbit in m.source.orbits():
         tgt_orbit, covered = m.orbit_image(orbit)
         if not covered:
             raise PartialCover(orbit)
@@ -215,7 +209,7 @@ def complement_codim(s: ConstructibleOrbitSet) -> int | None:
 
 
 def orbit_limit_targets(
-    space: Fan | FanSystem, orbit: OrbitIndex, v: Sequence[int]
+    space: FanSystem, orbit: OrbitIndex, v: Sequence[int]
 ) -> tuple[OrbitIndex, ...]:
     """Orbits of the limits of the translated family lambda_v(s) * t * x,
     for x on the given orbit; the coset is carried along unchanged.
@@ -228,20 +222,18 @@ def orbit_limit_targets(
     ``limit_table`` gives the results for many orbits and vectors.
     """
     v = vec(v)
-    sys = system_view(space)
-    if len(v) != sys.rank:
+    if len(v) != space.rank:
         raise ValueError("vector rank mismatch")
-    reals = sys.orbit_masks[sys.orbit_id[orbit]]
-    pairings = {i: _pairings(sys.charts[i], v) for i, _mask in reals}
-    return tuple(sys.orbits()[t] for t in _limit_ids(sys, reals, pairings))
+    reals = space.orbit_masks[space.orbit_id[orbit]]
+    pairings = {i: _pairings(space.charts[i], v) for i, _mask in reals}
+    return tuple(space.orbits()[t] for t in _limit_ids(space, reals, pairings))
 
 
-def limit_table(space: Fan | FanSystem, vectors: Sequence[IntVec]) -> list[list[tuple[int, ...]]]:
+def limit_table(space: FanSystem, vectors: Sequence[IntVec]) -> list[list[tuple[int, ...]]]:
     """``orbit_limit_targets`` as orbit ids, ``table[orbit id][vector index]``;
     each chart pairs its facet normals with each vector once."""
-    sys = system_view(space)
-    pairings = [[_pairings(chart, v) for chart in sys.charts] for v in vectors]
-    return [[_limit_ids(sys, reals, p) for p in pairings] for reals in sys.orbit_masks]
+    pairings = [[_pairings(chart, v) for chart in space.charts] for v in vectors]
+    return [[_limit_ids(space, reals, p) for p in pairings] for reals in space.orbit_masks]
 
 
 def _pairings(chart: Cone, v: IntVec) -> list[int] | None:
@@ -273,7 +265,7 @@ def _limit_ids(sys: FanSystem, reals, pairings) -> tuple[int, ...]:
 
 
 def one_param_limits(
-    space: Fan | FanSystem, v: Sequence[int], p: OrbitPoint
+    space: FanSystem, v: Sequence[int], p: OrbitPoint
 ) -> tuple[OrbitPoint, ...]:
     """All limit points of s -> lambda_v(s) * p as s -> 0, deduplicated
     across charts.  Empty when no chart admits a limit; for a fan the result

@@ -14,7 +14,7 @@ from fractions import Fraction
 from typing import Mapping, Sequence
 
 from .cones import Cone, semigroup_generators
-from .fans import Fan, FanSystem, OrbitIndex, system_view
+from .fans import FanSystem, OrbitIndex
 from .intlinalg import (
     CosetSolution,
     IntMatrix,
@@ -89,13 +89,13 @@ class OrbitPoint:
     equality is structural.
     """
 
-    space: Fan | FanSystem
+    space: FanSystem
     orbit: OrbitIndex
     coset: TorusElement
 
     @classmethod
     def make(
-        cls, space: Fan | FanSystem, orbit: OrbitIndex, coset: TorusElement | Sequence[Rational]
+        cls, space: FanSystem, orbit: OrbitIndex, coset: TorusElement | Sequence[Rational]
     ) -> "OrbitPoint":
         if not isinstance(coset, TorusElement):
             coset = TorusElement(coset)
@@ -124,7 +124,7 @@ class OrbitPoint:
         return OrbitPoint.make(self.space, self.orbit, t * self.coset)
 
     def realizations(self) -> tuple[tuple[int, Cone], ...]:
-        return system_view(self.space).realizations(self.orbit)
+        return self.space.realizations(self.orbit)
 
     def as_toric(self, chart_id: int | None = None) -> "ToricPoint":
         """The point as a semigroup homomorphism on one of its charts."""
@@ -133,8 +133,7 @@ class OrbitPoint:
             chart_id = reals[0][0]
         if all(i != chart_id for i, _ in reals):
             raise ValueError(f"point does not lie in chart {chart_id}")
-        sys = system_view(self.space)
-        return ToricPoint.from_orbit(sys.charts[chart_id], self.orbit.cone, self.coset)
+        return ToricPoint.from_orbit(self.space.charts[chart_id], self.orbit.cone, self.coset)
 
     def evaluate(self, u: Sequence[int], chart_id: int | None = None) -> Fraction:
         return self.as_toric(chart_id).evaluate(u)
@@ -236,21 +235,19 @@ class ToricPoint:
 
 
 def distinguished_point(
-    space: Fan | FanSystem, cone: Cone, chart_id: int | None = None
+    space: FanSystem, cone: Cone, chart_id: int | None = None
 ) -> OrbitPoint:
     """The distinguished point of the orbit of the given cone (coset = 1)."""
-    sys = system_view(space)
     if chart_id is None:
-        orbit = sys.orbit_of_cone(cone)
+        orbit = space.orbit_of_cone(cone)
     else:
-        orbit = sys.orbit(chart_id, cone)
-    return OrbitPoint.make(space, orbit, TorusElement.identity(sys.rank))
+        orbit = space.orbit(chart_id, cone)
+    return OrbitPoint.make(space, orbit, TorusElement.identity(space.rank))
 
 
-def torus_point(space: Fan | FanSystem, coords: Sequence[Rational]) -> OrbitPoint:
+def torus_point(space: FanSystem, coords: Sequence[Rational]) -> OrbitPoint:
     """The point of the dense torus with the given coordinates."""
-    sys = system_view(space)
-    orbit = sys.orbit(0, Cone.zero(sys.rank))
+    orbit = space.orbit(0, Cone.zero(space.rank))
     return OrbitPoint.make(space, orbit, TorusElement(coords))
 
 

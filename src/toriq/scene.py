@@ -14,7 +14,7 @@ from fractions import Fraction
 from pathlib import Path
 
 from .cones import Cone
-from .fans import Fan, FanSystem, FanViolation, GluingViolation, OrbitIndex, system_view
+from .fans import Fan, FanSystem, FanViolation, GluingViolation, OrbitIndex
 from .intlinalg import IntMatrix, IntVec
 from .morphisms import IncompatibleMorphism, ToricMorphism, toric_morphism
 from .points import OrbitPoint, TorusElement
@@ -76,7 +76,7 @@ class Scene:
     points: dict[str, OrbitPoint] = field(default_factory=dict)
     weights: dict[str, IntVec] = field(default_factory=dict)
 
-    def space(self, name: str) -> Fan | FanSystem:
+    def space(self, name: str) -> FanSystem:
         if name in self.fans:
             return self.fans[name]
         if name in self.systems:
@@ -186,6 +186,10 @@ def load_scene(source) -> Scene:
                         )
                     idx.append(chart_names.index(ref))
             face = scene.cone(_ref(entry, "face", f"system {name}"))
+            if {(idx[0], idx[1]), (idx[1], idx[0])} & gluing.keys():
+                raise SceneValidationError(
+                    name, f"charts {min(idx)} and {max(idx)} are glued more than once"
+                )
             gluing[(idx[0], idx[1])] = face
         try:
             scene.systems[name] = FanSystem(charts, gluing)
@@ -222,13 +226,12 @@ def load_scene(source) -> Scene:
 
     for name, spec in _section(doc, "points").items():
         space = scene.space(_ref(spec, "space", f"point {name}"))
-        sys = system_view(space)
         orbit_spec = _require(spec, "orbit", name)
         try:
-            orbit = _resolve_orbit(scene, sys, orbit_spec, name)
+            orbit = _resolve_orbit(scene, space, orbit_spec, name)
             coset_raw = _list(_require(spec, "coset", name), f"point {name}: coset")
             coset = [parse_rational(x, f"point {name}") for x in coset_raw]
-            if len(coset) != sys.rank:
+            if len(coset) != space.rank:
                 raise SceneValidationError(name, "coset length differs from the rank")
             scene.points[name] = OrbitPoint.make(space, orbit, TorusElement(coset))
         except ValueError as exc:

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 from typing import Sequence
 
 from .cones import Cone, image_cone
-from .fans import Fan, FanSystem, OrbitIndex, system_view
+from .fans import Fan, FanSystem, OrbitIndex
 from .intlinalg import (
     IntMatrix,
     IntVec,
@@ -61,10 +61,7 @@ def project_prevariety(source: Fan, pmat: IntMatrix) -> tuple[FanSystem, ToricMo
         if not img.is_pointed:
             raise ValueError(f"image of {sigma!r} is not pointed")
         charts.append(img)
-    gluing = {}
-    for i in range(len(charts)):
-        for j in range(i + 1, len(charts)):
-            gluing[(i, j)] = image_cone(pmat, source.as_system().meet(i, j))
+    gluing = {ij: image_cone(pmat, meet) for ij, meet in source.gluing.items()}
     system = FanSystem(charts, gluing)
     return system, toric_morphism(pmat, source, system)
 
@@ -225,7 +222,8 @@ def partition_matches_fibers(
     as a perp, with no equation solved, and no piece and no representative
     point is built.
     """
-    if system_view(kappa.source) != system_view(part.system):
+    # compared as chart systems: a fan is the system over its charts and gluing
+    if FanSystem.key(kappa.source) != FanSystem.key(part.system):
         raise ValueError("partition and morphism have different sources")
     report: list[tuple[str, bool, str]] = []
     ok = True

@@ -15,7 +15,7 @@ from math import gcd
 
 from toriq import cones, intlinalg
 from toriq.cones import Cone, image_cone
-from toriq.fans import Fan, OrbitIndex, system_view
+from toriq.fans import Fan, FanSystem, OrbitIndex
 from toriq.intlinalg import (
     IntMatrix,
     Sublattice,
@@ -32,6 +32,33 @@ from toriq.points import OrbitPoint, TorusElement
 from toriq.separation import IdentClass, IdentificationPartition, MergeEvent, _test_vectors
 
 
+def det(m: IntMatrix) -> int:
+    """Exact determinant by fraction-free Bareiss elimination."""
+    if m.nrows != m.ncols:
+        raise ValueError("determinant of a non-square matrix")
+    n = m.nrows
+    if n == 0:
+        return 1
+    a = [list(r) for r in m.rows]
+    sign = 1
+    prev = 1
+    for k in range(n - 1):
+        if a[k][k] == 0:
+            for i in range(k + 1, n):
+                if a[i][k] != 0:
+                    a[k], a[i] = a[i], a[k]
+                    sign = -sign
+                    break
+            else:
+                return 0
+        for i in range(k + 1, n):
+            for j in range(k + 1, n):
+                a[i][j] = (a[i][j] * a[k][k] - a[i][k] * a[k][j]) // prev
+            a[i][k] = 0
+        prev = a[k][k]
+    return sign * a[n - 1][n - 1]
+
+
 def minor_gcd(m: IntMatrix, k: int) -> int:
     """gcd of all k x k minors (0 when there are none or all vanish)."""
     g = 0
@@ -40,7 +67,7 @@ def minor_gcd(m: IntMatrix, k: int) -> int:
     for rsel in itertools.combinations(rows, k):
         for csel in itertools.combinations(cols, k):
             sub = IntMatrix([[m.rows[i][j] for j in csel] for i in rsel], k)
-            g = gcd(g, sub.det())
+            g = gcd(g, det(sub))
     return g
 
 
@@ -326,11 +353,10 @@ def dd_transitivity_failure(charts, gluing) -> str | None:
 def dd_limit_targets(space, orbit: OrbitIndex, v) -> tuple[OrbitIndex, ...]:
     """Limit orbits of lambda_v on an orbit, from the dual face
     sigma^vee meet gamma^perp built as a cone in every realizing chart."""
-    sys = system_view(space)
     out = set()
-    for chart_id, _face in sys.realizations(orbit):
-        chart = sys.charts[chart_id]
-        perp = from_inequalities([], orbit.cone.rays, sys.rank)
+    for chart_id, _face in space.realizations(orbit):
+        chart = space.charts[chart_id]
+        perp = from_inequalities([], orbit.cone.rays, space.rank)
         dual_face = chart.dual().intersect(perp)
         if any(dot(l, v) != 0 for l in dual_face.lineality.basis):
             continue
@@ -338,7 +364,7 @@ def dd_limit_targets(space, orbit: OrbitIndex, v) -> tuple[OrbitIndex, ...]:
             continue
         tight = [r for r in dual_face.rays if dot(r, v) == 0]
         rays = [r for r in chart.rays if all(dot(u, r) == 0 for u in tight)]
-        out.add(sys.orbit(chart_id, Cone.from_generators(rays, sys.rank)))
+        out.add(space.orbit(chart_id, Cone.from_generators(rays, space.rank)))
     return tuple(sorted(out, key=OrbitIndex.sort_key))
 
 
@@ -377,24 +403,23 @@ def scan_orbit_assignment(matrix: IntMatrix, source, target) -> dict:
     it is found by testing every fan cone (a ``Fan`` target) or every face of
     the assigned chart (a chart system) with ``contains_cone``.  Raises
     ``IncompatibleMorphism`` with the morphism's messages."""
-    src, tgt = system_view(source), system_view(target)
     assignment = []
-    for chart in src.charts:
+    for chart in source.charts:
         img = image_cone(matrix, chart)
-        pick = next((j for j, tc in enumerate(tgt.charts) if tc.contains_cone(img)), None)
+        pick = next((j for j, tc in enumerate(target.charts) if tc.contains_cone(img)), None)
         if pick is None:
             raise IncompatibleMorphism(chart)
         assignment.append(pick)
     out = {}
-    for orbit in src.orbits():
+    for orbit in source.orbits():
         found = set()
-        for i, face in src.realizations(orbit):
+        for i, face in source.realizations(orbit):
             img = image_cone(matrix, face)
             if isinstance(target, Fan):
-                found.add(scan_orbit_of_cone(tgt, _minimal_containing(target.all_cones, img)))
+                found.add(scan_orbit_of_cone(target, _minimal_containing(target.all_cones, img)))
             else:
                 j = assignment[i]
-                found.add(tgt.orbit(j, _minimal_containing(tgt.charts[j].faces(), img)))
+                found.add(target.orbit(j, _minimal_containing(target.charts[j].faces(), img)))
         if len(found) > 1:
             raise IncompatibleMorphism(
                 orbit.cone, "chart realizations assign the orbit to different targets"
@@ -483,7 +508,7 @@ def piece_partition_matches_fibers(part, kappa):
     def tag(o):
         return f"(chart {o.chart}, rays {list(o.cone.rays)})"
 
-    if system_view(kappa.source) != system_view(part.system):
+    if FanSystem.key(kappa.source) != FanSystem.key(part.system):
         raise ValueError("partition and morphism have different sources")
     report = []
     ok = True
@@ -596,9 +621,7 @@ def random_torus(rng, rank: int, bound: int = 9):
 
 def random_point(rng, space):
     """A random rational point: random orbit, random coset."""
-    from toriq.fans import system_view
     from toriq.points import OrbitPoint
 
-    sys = system_view(space)
-    orbit = rng.choice(list(sys.orbits()))
-    return OrbitPoint.make(space, orbit, random_torus(rng, sys.rank))
+    orbit = rng.choice(list(space.orbits()))
+    return OrbitPoint.make(space, orbit, random_torus(rng, space.rank))

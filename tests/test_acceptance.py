@@ -8,7 +8,6 @@ import random
 import time
 
 from toriq.cones import dual_cone, semigroup_generators
-from toriq.fans import system_view
 from toriq.intlinalg import (
     IntMatrix,
     Sublattice,
@@ -31,7 +30,15 @@ from toriq.separation import (
     verify_example,
 )
 
-from _oracles import box, decomposes_in_monoid, random_cone, random_fan, random_point, random_torus
+from _oracles import (
+    box,
+    decomposes_in_monoid,
+    det,
+    random_cone,
+    random_fan,
+    random_point,
+    random_torus,
+)
 
 
 def report(n, name, passed):
@@ -132,7 +139,6 @@ def test_criterion_5_invariance_and_factorization(ex):
     kernel = kernel_saturated(ex.lattice_map)
     ok = ok and kernel.rank == 1 and kernel.basis == (ex.weight,)
     rng = random.Random(5)
-    tgt = system_view(ex.target_fan)
     for _ in range(100):
         x = random_point(rng, ex.source_fan)
         via_system = ex.kappa.apply(ex.pi_tilde.apply(x))
@@ -140,7 +146,7 @@ def test_criterion_5_invariance_and_factorization(ex):
         ok = ok and via_system == direct
         # exact character-level equality on the target chart
         chart_id = direct.realizations()[0][0]
-        chart = tgt.charts[chart_id]
+        chart = ex.target_fan.charts[chart_id]
         a = via_system.as_toric(chart_id)
         b = direct.as_toric(chart_id)
         for u in semigroup_generators(dual_cone(chart)):
@@ -174,10 +180,10 @@ def test_criterion_7_property_suites():
         r, s = rng.randint(1, 4), rng.randint(1, 4)
         m = IntMatrix([[rng.randint(-9, 9) for _ in range(s)] for _ in range(r)], s)
         h, u = hermite_normal_form(m)
-        ok = ok and (u @ m) == h and abs(u.det()) == 1
+        ok = ok and (u @ m) == h and abs(det(u)) == 1
         d, u2, v2 = smith_normal_form(m)
         ok = ok and (u2 @ m @ v2) == d
-        ok = ok and abs(u2.det()) == 1 and abs(v2.det()) == 1
+        ok = ok and abs(det(u2)) == 1 and abs(det(v2)) == 1
         chain = list(invariant_factors(m))
         ok = ok and all(b % a == 0 for a, b in zip(chain, chain[1:]))
     # semigroup generator completeness against box enumeration

@@ -266,6 +266,31 @@ def test_classify_face_matches_dd_oracle():
     assert on_face[True] >= 50 and on_face[False] >= 10
 
 
+def test_faces_of_cones_with_lineality_are_ray_masks():
+    # the canonical rays are reduced modulo the lineality space, so every
+    # face mask is a face: built from its mask, it matches the face rebuilt
+    # from generators by two description passes; with few facets, every
+    # set of facets cuts out a face that has a mask
+    rng = random.Random(47)
+    checked = 0
+    for c in (_with_line(rng, d) for d in _pointed_cones(47, 60)):
+        with unmemoised():
+            faces = {m: c._face(m) for m in c.face_masks}
+        for m, face in faces.items():
+            tight = [u for u, z in zip(c.facet_normals, c.incidence) if z & m == m]
+            assert _fields(face) == _fields(dd_face_from_tight(c, tight))
+            assert face.lineality == c.lineality and face.is_face_of(c)
+            checked += 1
+        if len(c.facet_normals) <= 4:
+            subsets = itertools.chain.from_iterable(
+                itertools.combinations(c.facet_normals, k)
+                for k in range(len(c.facet_normals) + 1)
+            )
+            brute = {dd_face_from_tight(c, t).key() for t in subsets}
+            assert brute == {f.key() for f in faces.values()}
+    assert checked >= 300
+
+
 def test_is_face_of_matches_dd_oracle():
     rng = random.Random(43)
     seen = {}

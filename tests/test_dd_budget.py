@@ -100,6 +100,28 @@ def test_faces_run_no_dd_pass(calls):
     assert calls["dd"] == 0
 
 
+def test_faces_of_a_cone_with_lineality_run_no_dd_pass(calls):
+    # the cone over a square times a line: the faces are ray masks of the reduced
+    # rays, so locating a point's face and testing faces (a diagonal wedge
+    # is none, nor is a pointed cone) take no description pass; rebuilding
+    # each located face from generators and each tested one from the facet
+    # normals tight on it made 14 DD passes
+    square = [(1, 0, 1, 0), (0, 1, 1, 0), (-1, 0, 1, 0), (0, -1, 1, 0)]
+    line = [(0, 0, 0, 1), (0, 0, 0, -1)]
+    wedge = Cone.from_generators(square + line, 4)
+    diagonal = Cone.from_generators([square[0], square[2]] + line, 4)
+    edge = Cone.from_generators([square[0]], 4)
+    # four edges, two facets and the line, then two interior points
+    points = square + [(1, 1, 2, 5), (-1, 1, 2, 0), (0, 0, 0, 3), (0, 0, 4, 0), (1, 1, 3, -2)]
+    calls["dd"] = 0
+    located = [wedge.classify(p) for p in points]
+    assert [loc.kind for loc in located] == ["on_face"] * 7 + ["relint"] * 2
+    assert len({loc.face for loc in located[:7]}) == 7
+    assert all(loc.face.is_face_of(wedge) for loc in located[:7])
+    assert not diagonal.is_face_of(wedge) and not edge.is_face_of(wedge)
+    assert calls["dd"] == 0
+
+
 def test_fan_meets_read_off_the_face_tables(calls):
     # 5 cones, 10 meets, 31 distinct cones; the 5 charts are their own full
     # faces, so 26 faces are looked up and 25 have a perp to compute (the
@@ -121,7 +143,7 @@ def test_fan_system_and_identifications_meet_each_chart_pair_once(calls):
     # face builds
     charts = projective_space_charts(3)
     calls.update(dd=0, intersect=0, face=0, snf=0)
-    system = Fan(charts).as_system()
+    system = Fan(charts)
     part = forced_identifications(system)
     assert system.separated and len(part.classes) == 15
     assert calls["intersect"] == 6
@@ -161,7 +183,6 @@ def test_non_identity_morphism_builds_no_cone(calls, ex):
 def test_comparison_morphism_scans_no_face(monkeypatch):
     charts = projective_space_charts(3)
     system, fan = FanSystem(charts), Fan(charts)
-    fan.as_system()  # the target's chart system is part of the target
     scans = []
     faces = Cone.faces
 

@@ -155,6 +155,15 @@ def test_gluing_must_be_common_face(ex):
         build_fan_system([ex.cones["tau1"], ex.cones["tau2"]], {(0, 1): ex.cones["rho4"]})
 
 
+def test_gluing_a_chart_pair_under_both_keys_is_rejected(ex):
+    tau1, tau2, zero = ex.cones["tau1"], ex.cones["tau2"], Cone.zero(3)
+    # a lone (j, i) key glues the pair; given next to (i, j), neither wins
+    assert FanSystem([tau1, tau2], {(1, 0): zero}) == ex.system
+    for g in (zero, ex.cones["rho4"]):
+        with pytest.raises(GluingViolation, match="charts 0, 1 are glued more than once"):
+            FanSystem([tau1, tau2], {(0, 1): zero, (1, 0): g})
+
+
 def test_gluing_transitivity_check():
     ray = Cone.from_generators([(1,)], 1)
     zero = Cone.zero(1)
@@ -188,9 +197,8 @@ def test_separated_system_to_fan_and_back(ex):
     sys = build_fan_system([tau1, rho3], {(0, 1): Cone.zero(3)})
     fan = sys.as_fan()
     assert set(fan.maximal_cones) == {tau1, rho3}
-    back = fan.as_system()
-    assert {c for c in back.charts} == {c for c in sys.charts}
-    assert back.separated
+    assert set(fan.charts) == set(sys.charts)
+    assert fan.separated
 
 
 def test_fan_and_system_share_each_chart_pair_meet(monkeypatch):
@@ -215,7 +223,8 @@ def test_fan_and_system_share_each_chart_pair_meet(monkeypatch):
             fan = Fan(charts)
             meets = early or [system.meet(i, j) for i, j in pairs]
             assert len(passes) == 6
-            assert all(meet is fan._meets[frozenset((charts[i], charts[j]))]
+            at = fan.charts.index
+            assert all(meet is fan.gluing_cone(at(charts[i]), at(charts[j]))
                        for meet, (i, j) in zip(meets, pairs))
 
 
@@ -278,10 +287,10 @@ def orbit_or_error(lookup, sys, cone):
 def test_orbit_of_cone_matches_scan_oracle(ex):
     rng = random.Random(31)
     ray = Cone.from_generators([(1,)], 1)
-    systems = [ex.system, FanSystem([ray, ray]), ex.target_fan.as_system()]
+    systems = [ex.system, FanSystem([ray, ray]), ex.target_fan]
     for _ in range(20):
         fan = random_fan(rng, max_rank=3)
-        systems += [fan.as_system(), FanSystem(fan.maximal_cones)]
+        systems += [fan, FanSystem(fan.maximal_cones)]
     for sys in systems:
         n = sys.rank
         probes = [f for chart in sys.charts for f in chart.faces()]
@@ -299,6 +308,23 @@ def test_system_equivalence_under_permutation(ex):
     b = FanSystem([tau2, tau1], {(0, 1): zero})
     assert a != b
     assert a.is_equivalent(b)
+
+
+def test_fan_is_its_own_separated_chart_system(ex):
+    for fan in (ex.source_fan, ex.target_fan):
+        assert isinstance(fan, FanSystem) and fan.separated
+        assert fan.charts == fan.maximal_cones
+        assert all(fan.gluing_cone(i, j) == fan.charts[i].intersect(fan.charts[j])
+                   for i, j in fan.gluing)
+        system = FanSystem(fan.charts, fan.gluing)
+        # equality keeps the types apart; equivalence compares charts and
+        # gluing, so a system is equivalent to the fan over its glued charts
+        assert system != fan and fan != system
+        assert system.is_equivalent(fan) and fan.is_equivalent(system)
+    # up to renumbering the charts
+    tau1, rho3 = ex.cones["tau1"], ex.cones["rho3"]
+    assert Fan([tau1, rho3]).charts == (rho3, tau1)
+    assert FanSystem([tau1, rho3]).is_equivalent(Fan([tau1, rho3]))
 
 
 def test_rank_zero_fan():

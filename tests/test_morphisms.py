@@ -5,7 +5,7 @@ from pathlib import Path
 import pytest
 
 from toriq.cones import Cone, dual_cone, semigroup_generators
-from toriq.fans import Fan, FanSystem, build_fan, system_view
+from toriq.fans import Fan, FanSystem, build_fan
 from toriq.intlinalg import Inconsistent, IntMatrix, Sublattice
 from toriq.morphisms import (
     ConstructibleOrbitSet,
@@ -96,7 +96,7 @@ def test_orbit_assignment_matches_face_scan_oracle(ex):
             (IntMatrix.identity(n), fan, fan),
             (IntMatrix.identity(n), torus_glued, fan),
             (u, fan, moved),
-            (u, torus_glued, moved.as_system()),
+            (u, torus_glued, FanSystem(moved.charts, moved.gluing)),
             # a rank-1 projection onto the fan of P^1: faces collapse to the
             # zero cone, and a cone whose image straddles 0 is incompatible
             (row, fan, Fan([ray((1,)), ray((-1,))])),
@@ -144,12 +144,11 @@ def test_apply_requires_source_point(ex):
 
 def test_functoriality_of_characters(ex):
     rng = random.Random(51)
-    tgt = system_view(ex.target_fan)
     for _ in range(100):
         x = random_point(rng, ex.source_fan)
         y = ex.pi.apply(x)
         chart_id = y.realizations()[0][0]
-        chart = tgt.charts[chart_id]
+        chart = ex.target_fan.charts[chart_id]
         toric_y = y.as_toric(chart_id)
         src_chart_id = next(
             i for i, _ in x.realizations() if ex.pi.chart_assignment[i] == chart_id
@@ -168,8 +167,7 @@ def test_functoriality_of_characters(ex):
 
 
 def test_orbit_image_torus_covered(ex):
-    src = system_view(ex.source_fan)
-    zero = src.orbit_of_cone(Cone.zero(4))
+    zero = ex.source_fan.orbit_of_cone(Cone.zero(4))
     target, covered = orbit_image(ex.pi, zero)
     assert target.cone.dim == 0 and covered
 
@@ -286,14 +284,13 @@ def test_limit_targets_match_dual_face_oracle(ex):
     rng = random.Random(54)
     spaces = [random_fan(rng, max_rank=3) for _ in range(12)] + [ex.system]
     for space in spaces:
-        sys = system_view(space)
-        vectors = list(_test_vectors(sys))
-        vectors += [tuple(rng.randint(-2, 2) for _ in range(sys.rank)) for _ in range(4)]
+        vectors = list(_test_vectors(space))
+        vectors += [tuple(rng.randint(-2, 2) for _ in range(space.rank)) for _ in range(4)]
         table = limit_table(space, vectors)
-        orbits = sys.orbits()
+        orbits = space.orbits()
         assert len(table) == len(orbits)
         for oid, orbit in enumerate(orbits):
-            assert sys.orbit_id[orbit] == oid
+            assert space.orbit_id[orbit] == oid
             for k, v in enumerate(vectors):
                 expected = dd_limit_targets(space, orbit, v)
                 from_table = tuple(orbits[t] for t in table[oid][k])
@@ -422,13 +419,13 @@ def test_fiber_lattice_is_the_fiber_equations_kernel(ex):
         moved = Fan([Cone.from_generators(map(u.apply, c.rays), n) for c in fan.maximal_cones])
         morphisms += [
             toric_morphism(u, fan, moved),
-            toric_morphism(u, FanSystem(fan.maximal_cones), moved.as_system()),
+            toric_morphism(u, FanSystem(fan.maximal_cones), FanSystem(moved.charts, moved.gluing)),
         ]
     seen = {}
     for m in morphisms:
         n = m.matrix.nrows
         points = [TorusElement.identity(n)] + [random_torus(rng, n) for _ in range(3)]
-        for gamma in system_view(m.target).orbits():
+        for gamma in m.target.orbits():
             lattice = fiber_lattice(m, gamma)
             for t in points:
                 sol = fiber_equation(m, gamma, t)[2]
@@ -472,7 +469,7 @@ def test_fiber_lattice_is_the_perp_of_the_pulled_back_rows(ex):
         False, True, False
     ]
     for m in morphisms:
-        for gamma in system_view(m.target).orbits():
+        for gamma in m.target.orbits():
             pulled = IntMatrix(gamma.cone.span_perp.basis, m.matrix.nrows) @ m.matrix
             expected = Sublattice.from_rows(m.matrix.ncols, pulled.rows).perp()
             lattice = fiber_lattice(m, gamma)

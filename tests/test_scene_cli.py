@@ -435,3 +435,56 @@ def test_declared_lattice_must_match_cone_rank(section, entity):
         load_scene(doc)
     assert err.value.entity == entity
     assert "rank 3" in err.value.reason and "rank 4" in err.value.reason
+
+
+@pytest.mark.parametrize(
+    "first, second",
+    [(("zero3", [0, 1]), ("rho4", [1, 0])), (("rho4", [0, 1]), ("zero3", [0, 1]))],
+    ids=["reversed", "repeated"],
+)
+def test_gluing_a_chart_pair_twice_exits_2(tmp_path, first, second):
+    # rho4 is no face of tau1: dropping it (the reversed pair) or letting
+    # the later entry overwrite it (the repeated pair) would load the scene
+    doc = json.loads(json.dumps(SCENE))
+    doc["systems"]["Ytilde"]["gluing"] = [
+        {"charts": charts, "face": face} for face, charts in (first, second)
+    ]
+    message = "Ytilde: charts 0 and 1 are glued more than once"
+    with pytest.raises(SceneValidationError, match=message):
+        load_scene(doc)
+    proc = _identify_on_scene(tmp_path, doc)
+    assert proc.returncode == 2
+    assert message in proc.stderr
+    assert "Traceback" not in proc.stderr
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["identify", "--system", "C3"], "'C3' is not a system"),
+        (["limits", "--system", "C3", "--v", "1,1,0", "--point", "torus:2,3,5"],
+         "'C3' is not a system"),
+        (["limits", "--fan", "Ytilde", "--v", "1,1,0", "--point", "torus:2,3,5"],
+         "'Ytilde' is not a fan"),
+    ],
+    ids=["identify-fan", "limits-system-fan", "limits-fan-system"],
+)
+def test_fan_and_system_options_reject_the_other_kind(capsys, argv, message):
+    # a fan is a chart system too, but --system names a non-fan system only
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 2 and out == ""
+    assert message in err
+
+
+def test_cli_faces_of_a_cone_with_lineality_exit_2(tmp_path, capsys):
+    doc = json.loads(json.dumps(SCENE))
+    doc["cones"]["halfspace"] = {
+        "lattice": "N3",
+        "generators": [["1", "0", "0"], ["0", "1", "0"], ["0", "-1", "0"],
+                       ["0", "0", "1"], ["0", "0", "-1"]],
+    }
+    path = tmp_path / "scene.json"
+    path.write_text(json.dumps(doc))
+    code, out, err = run_cli(capsys, "--scene", str(path), "faces", "--cone", "halfspace")
+    assert code == 2 and out == ""
+    assert "face enumeration requires a pointed cone" in err

@@ -139,7 +139,7 @@ def test_deep_orbit_class_is_whole_torus(ex):
 
 
 def test_separated_fan_gives_singletons(ex):
-    sys = ex.target_fan.as_system()
+    sys = ex.target_fan
     part = forced_identifications(sys)
     assert len(part.classes) == len(sys.orbits())
     for cls in part.classes:
@@ -217,11 +217,25 @@ def test_partition_matches_fibers_for_example(ex):
 
 
 def test_partition_matches_fibers_trivial_case(ex):
-    sys = ex.target_fan.as_system()
-    part = forced_identifications(sys)
-    ident = toric_morphism(IntMatrix.identity(3), sys, ex.target_fan)
+    fan = ex.target_fan
+    part = forced_identifications(fan)
+    ident = toric_morphism(IntMatrix.identity(3), fan, fan)
     ok, _ = partition_matches_fibers(part, ident)
     assert ok
+
+
+def test_partition_of_a_fans_charts_matches_the_fans_fibers(ex):
+    # a system over a fan's charts and gluing is not equal to the fan, but
+    # its partition is the fan's: the check compares them as chart systems
+    for fan in (ex.source_fan, ex.target_fan):
+        system = FanSystem(fan.charts, fan.gluing)
+        assert system != fan
+        ident = toric_morphism(IntMatrix.identity(fan.rank), fan, fan)
+        ok, report = partition_matches_fibers(forced_identifications(system), ident)
+        assert ok and report
+    ident = toric_morphism(IntMatrix.identity(3), ex.target_fan, ex.target_fan)
+    with pytest.raises(ValueError, match="different sources"):
+        partition_matches_fibers(forced_identifications(ex.system), ident)
 
 
 def test_partition_coarser_fibers_detected(ex):
@@ -440,7 +454,7 @@ def partial_p3_gluings():
 def test_test_vectors_match_all_meets_oracle(ex):
     rng = random.Random(77)
     systems = [ex.system, *(torus_glued_projective_space(n)[0] for n in (2, 3))]
-    systems += [random_fan(rng, max_rank=3).as_system() for _ in range(20)]
+    systems += [random_fan(rng, max_rank=3) for _ in range(20)]
     systems += random_torus_glued_systems(rng, 60 - len(systems))
     new_faces = 0
     for system in systems:
@@ -458,7 +472,7 @@ def test_forced_identifications_match_dict_oracle():
     # the fixpoint keyed by OrbitIndex that reruns the skip test every step
     rng = random.Random(79)
     systems = [torus_glued_projective_space(n)[0] for n in (2, 3, 4)]
-    systems += [random_fan(rng, max_rank=3).as_system() for _ in range(20)]
+    systems += [random_fan(rng, max_rank=3) for _ in range(20)]
     systems += random_torus_glued_systems(rng, 60)
     partial = partial_p3_gluings()
     assert len(partial) == 13
@@ -504,7 +518,7 @@ def test_partition_matches_fibers_match_piece_oracle(ex):
         cases.append((system, comparison_morphism(system, fan)))
     for _ in range(20):
         fan = random_fan(rng, max_rank=3)
-        for system in (fan.as_system(), FanSystem(fan.maximal_cones)):
+        for system in (fan, FanSystem(fan.maximal_cones)):
             cases.append((system, comparison_morphism(system, fan)))
     for system in random_torus_glued_systems(rng, 20):
         n = system.rank
