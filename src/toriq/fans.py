@@ -221,17 +221,25 @@ class FanSystem:
         return Fan(self.charts)
 
     def is_equivalent(self, other: "FanSystem") -> bool:
-        """Equality up to renumbering the charts."""
+        """Equality up to renumbering the charts.  A renumbering maps each
+        chart to an equal one, so the charts are grouped by ``Cone.key()``
+        and only renumberings within a group (repeated charts) are tried."""
         import itertools
 
         if not isinstance(other, FanSystem):
             return False
         if self.rank != other.rank or len(self.charts) != len(other.charts):
             return False
+        groups: dict = {}
+        for side, space in enumerate((self, other)):
+            for i, c in enumerate(space.charts):
+                groups.setdefault(c.key(), ([], []))[side].append(i)
+        if any(len(mine) != len(theirs) for mine, theirs in groups.values()):
+            return False
         n = len(self.charts)
-        for perm in itertools.permutations(range(n)):
-            if any(other.charts[perm[i]] != self.charts[i] for i in range(n)):
-                continue
+        mine = [i for m, _ in groups.values() for i in m]
+        for choice in itertools.product(*(itertools.permutations(t) for _, t in groups.values())):
+            perm = dict(zip(mine, itertools.chain(*choice)))
             if all(
                 other.gluing_cone(perm[i], perm[j]) == self.gluing_cone(i, j)
                 for i in range(n)
@@ -290,6 +298,11 @@ class Fan(FanSystem):
             for j, b in enumerate(charts[i + 1:], i + 1)
         }
         super().__init__(charts, gluing, rank=rank)
+
+    def _check_transitive(self) -> None:
+        """No check runs: a fan is glued along its own meets, so the rays
+        common to g_ij = sigma_i meet sigma_j and g_jk lie in sigma_i meet
+        sigma_k = g_ik, and the test cannot fail."""
 
     def meet(self, i: int, j: int) -> Cone:
         """A fan is glued along full intersections: the meet is the gluing

@@ -217,51 +217,68 @@ def orbit_limit_targets(
     In a chart sigma containing the orbit's cone gamma, the limit exists iff
     v pairs nonnegatively with the dual face sigma^vee meet gamma^perp: v is
     orthogonal to sigma^perp, and no facet normal vanishing on gamma pairs
-    negatively with v.  The limit orbit is cut out by the tight ones.  Both
-    steps run on ray masks (``_limit_ids``), so no cone is built.
-    ``limit_table`` gives the results for many orbits and vectors.
+    negatively with v.  The limit orbit is cut out by the tight ones.  Each
+    realization runs ``_chart_limits``, the kernel of ``limit_table``, on
+    its own face mask, so no cone is built.
     """
     v = vec(v)
     if len(v) != space.rank:
         raise ValueError("vector rank mismatch")
-    reals = space.orbit_masks[space.orbit_id[orbit]]
-    pairings = {i: _pairings(space.charts[i], v) for i, _mask in reals}
-    return tuple(space.orbits()[t] for t in _limit_ids(space, reals, pairings))
+    found = set()
+    for i, mask in space.orbit_masks[space.orbit_id[orbit]]:
+        found.update(_chart_limits(space, i, (mask,), (v,))[mask][0])
+    return tuple(space.orbits()[t] for t in sorted(found))
 
 
 def limit_table(space: FanSystem, vectors: Sequence[IntVec]) -> list[list[tuple[int, ...]]]:
-    """``orbit_limit_targets`` as orbit ids, ``table[orbit id][vector index]``;
-    each chart pairs its facet normals with each vector once."""
-    pairings = [[_pairings(chart, v) for chart in space.charts] for v in vectors]
-    return [[_limit_ids(space, reals, p) for p in pairings] for reals in space.orbit_masks]
+    """``orbit_limit_targets`` as sorted orbit ids, ``table[orbit id][vector
+    index]``, from one ``_chart_limits`` run per chart.  An orbit realized in
+    one chart (most orbits) takes its row as it is; others join their rows."""
+    rows = [_chart_limits(space, i, masks, vectors) for i, masks in enumerate(space.orbit_of_mask)]
+    table = []
+    for reals in space.orbit_masks:
+        own = [rows[i][mask] for i, mask in reals]
+        table.append(own[0] if len(own) == 1 else
+                     [tuple(sorted({g for cell in col for g in cell})) for col in zip(*own)])
+    return table
 
 
-def _pairings(chart: Cone, v: IntVec) -> list[int] | None:
-    """<u, v> for the chart's facet normals; None when v leaves its span."""
-    if any(dot(l, v) != 0 for l in chart.span_perp.basis):
-        return None
-    return [dot(u, v) for u in chart.facet_normals]
-
-
-def _limit_ids(sys: FanSystem, reals, pairings) -> tuple[int, ...]:
-    """The limit orbits' ids of an orbit given by its (chart, face mask)
-    pairs.  The dual face of a face is the facet normals whose zero mask
-    contains the face's mask; a negative pairing there means no limit, and
-    otherwise the limit face is the AND of the tight normals' masks."""
-    out = set()
-    for i, mask in reals:
-        if pairings[i] is None:
+def _chart_limits(space: FanSystem, i: int, masks, vectors) -> dict[int, list[tuple[int, ...]]]:
+    """Per face mask of chart i, per vector v: the limit orbit's id as a
+    1-tuple, or () when there is no limit.  A face's co-mask has bit b when
+    ``incidence[b]`` contains the face's mask: those facet normals span its
+    dual face.  With the masks of the normals pairing negatively (``neg``)
+    and to zero (``zero``) with v, a limit exists iff co-mask & neg == 0, and
+    its face is the AND of the incidence masks over co-mask & zero, memoised
+    per vector on that int."""
+    chart, of_mask = space.charts[i], space.orbit_of_mask[i]
+    incidence, full = chart.incidence, (1 << len(chart.rays)) - 1
+    rows = {m: [] for m in masks}
+    cells = [(rows[m].append, sum([1 << b for b, z in enumerate(incidence) if z & m == m]))
+             for m in masks]
+    for v in vectors:
+        if any([dot(l, v) for l in chart.span_perp.basis]):  # v leaves the chart's span
+            for add, _ in cells:
+                add(())
             continue
-        limit = (1 << len(sys.charts[i].rays)) - 1
-        for z, x in zip(sys.charts[i].incidence, pairings[i]):
-            if z & mask == mask:
-                if x < 0:
-                    break
-                if x == 0:
-                    limit &= z
-        else:
-            out.add(sys.orbit_of_mask[i][limit])
-    return tuple(sorted(out))
+        neg = zero = 0
+        for b, u in enumerate(chart.facet_normals):
+            x = dot(u, v)
+            if x < 0:
+                neg |= 1 << b
+            elif x == 0:
+                zero |= 1 << b
+        limit: dict[int, tuple[int, ...]] = {-1: ()}  # key -1: no limit
+        for add, comask in cells:
+            tight = -1 if comask & neg else comask & zero
+            if tight not in limit:
+                face = full
+                for b, z in enumerate(incidence):
+                    if tight >> b & 1:
+                        face &= z
+                limit[tight] = (of_mask[face],)
+            add(limit[tight])
+    return rows
 
 
 def one_param_limits(

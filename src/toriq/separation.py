@@ -141,14 +141,18 @@ def forced_identifications(system: FanSystem) -> IdentificationPartition:
     an (orbit, v) pair do not depend on the classes, so they are tabulated
     once by ``limit_table`` from the charts' incidence masks; a merge joins
     the rows of the merged classes, so a step reads its class's limits with
-    one lookup.  Each sweep visits the classes by their smallest orbit and
-    the vectors in lexicographic order, which fixes the events.  A step with
-    one target class whose lattice already contains the source class's
-    lattice changes nothing and is skipped; every other step merges classes
-    or grows a lattice, and is recorded as an event.  A class lattice changes
-    only at its events, each of which bumps the class's version, so the skip
-    test is remembered by (source, version, target, version) and reruns only
-    after an event (semi-naive evaluation).
+    one lookup; a cell with one limit id finds its class with one
+    ``root_of`` lookup.  Each sweep visits the classes by their smallest
+    orbit and the vectors in lexicographic order, which fixes the events.  A
+    step with one target class whose lattice already contains the source
+    class's lattice changes nothing and is skipped; every other step merges
+    classes or grows a lattice, and is recorded as an event.  A class with
+    no event yet (version 0) is a singleton whose lattice is its orbit's
+    span lattice, and each limit face contains the orbit's face, so its
+    one-target steps are skipped with no test.  A class lattice changes only
+    at its events, each of which bumps the class's version, so any other
+    skip test is remembered by (source, version, target, version) and reruns
+    only after an event (semi-naive evaluation).
     """
     orbits = system.orbits()
     vectors = _test_vectors(system)
@@ -170,9 +174,12 @@ def forced_identifications(system: FanSystem) -> IdentificationPartition:
                 limit_ids = limits[root][k]
                 if not limit_ids:
                     continue
-                targets = sorted({root_of[g] for g in limit_ids})
+                targets = ([root_of[limit_ids[0]]] if len(limit_ids) == 1
+                           else sorted({root_of[g] for g in limit_ids}))
                 new_root = targets[0]
                 if len(targets) == 1:
+                    if not version[root]:
+                        continue
                     key = (root, version[root], new_root, version[new_root])
                     if key not in contains:
                         contains[key] = all(map(lattice[new_root].contains, lattice[root].basis))

@@ -15,7 +15,7 @@ from math import gcd
 
 from toriq import cones, intlinalg
 from toriq.cones import Cone, image_cone
-from toriq.fans import Fan, FanSystem, OrbitIndex
+from toriq.fans import Fan, FanSystem, GluingViolation, OrbitIndex
 from toriq.intlinalg import (
     IntMatrix,
     Sublattice,
@@ -350,22 +350,25 @@ def dd_transitivity_failure(charts, gluing) -> str | None:
     return None
 
 
-def dd_limit_targets(space, orbit: OrbitIndex, v) -> tuple[OrbitIndex, ...]:
-    """Limit orbits of lambda_v on an orbit, from the dual face
-    sigma^vee meet gamma^perp built as a cone in every realizing chart."""
-    out = set()
-    for chart_id, _face in space.realizations(orbit):
-        chart = space.charts[chart_id]
-        perp = from_inequalities([], orbit.cone.rays, space.rank)
-        dual_face = chart.dual().intersect(perp)
-        if any(dot(l, v) != 0 for l in dual_face.lineality.basis):
-            continue
-        if any(dot(r, v) < 0 for r in dual_face.rays):
-            continue
-        tight = [r for r in dual_face.rays if dot(r, v) == 0]
-        rays = [r for r in chart.rays if all(dot(u, r) == 0 for u in tight)]
-        out.add(space.orbit(chart_id, Cone.from_generators(rays, space.rank)))
-    return tuple(sorted(out, key=OrbitIndex.sort_key))
+def dd_limit_targets(space, orbit: OrbitIndex, vectors) -> list[tuple[OrbitIndex, ...]]:
+    """Limit orbits of lambda_v on an orbit, per vector v, from the dual
+    face sigma^vee meet gamma^perp built as a cone in every realizing chart
+    (once per chart, for all the vectors)."""
+    perp = from_inequalities([], orbit.cone.rays, space.rank)
+    dual_faces = [(i, space.charts[i].dual().intersect(perp)) for i, _ in space.realizations(orbit)]
+    out = []
+    for v in vectors:
+        found = set()
+        for chart_id, dual_face in dual_faces:
+            if any(dot(l, v) != 0 for l in dual_face.lineality.basis):
+                continue
+            if any(dot(r, v) < 0 for r in dual_face.rays):
+                continue
+            tight = [r for r in dual_face.rays if dot(r, v) == 0]
+            rays = [r for r in space.charts[chart_id].rays if all(dot(u, r) == 0 for u in tight)]
+            found.add(space.orbit(chart_id, Cone.from_generators(rays, space.rank)))
+        out.append(tuple(sorted(found, key=OrbitIndex.sort_key)))
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -606,6 +609,49 @@ def random_fan(rng, max_rank: int = 3) -> Fan:
     u = random_unimodular(rng, rank)
     cones = [Cone.from_generators([u.apply(g) for g in gens], rank) for gens in pattern]
     return Fan(cones)
+
+
+def projective_space_charts(n: int) -> list[Cone]:
+    """The n + 1 maximal cones of the fan of P^n, over e_1, ..., e_n and
+    -(e_1 + ... + e_n)."""
+    rays = [tuple(int(i == j) for j in range(n)) for i in range(n)] + [(-1,) * n]
+    return [
+        Cone.from_generators([r for k, r in enumerate(rays) if k != skip], n)
+        for skip in range(n + 1)
+    ]
+
+
+def random_torus_glued_systems(rng, count):
+    """Systems of 2-3 random pointed charts glued along the torus only,
+    whose chart meets need not be faces of either chart."""
+    systems = []
+    while len(systems) < count:
+        n = rng.randint(2, 3)
+        charts = [
+            Cone.from_generators(
+                [[rng.randint(-2, 2) for _ in range(n)] for _ in range(rng.randint(1, n + 1))], n
+            )
+            for _ in range(rng.randint(2, 3))
+        ]
+        if all(c.is_pointed for c in charts):
+            systems.append(FanSystem(charts))
+    return systems
+
+
+def partial_p3_gluings():
+    """Every transitive gluing of the P^3 charts along the full
+    intersections of 1-3 chart pairs."""
+    charts = projective_space_charts(3)
+    pairs = list(itertools.combinations(range(4), 2))
+    systems = []
+    for k in (1, 2, 3):
+        for chosen in itertools.combinations(pairs, k):
+            gluing = {(i, j): charts[i].intersect(charts[j]) for i, j in chosen}
+            try:
+                systems.append(FanSystem(charts, gluing))
+            except GluingViolation:
+                pass
+    return systems
 
 
 def random_rational(rng, bound: int = 9) -> Fraction:

@@ -7,8 +7,9 @@ none of these steps may rebuild a cone.  A point given by its character
 values finds its face in the chart's face table, and the test vectors are
 read off face masks, so no face of a chart-pair intersection is built.  The
 identification fixpoint tests lattice containment only after an event
-changed a lattice, and the fiber comparison reads one fiber lattice per
-target orbit as a perp, solving no torus equation and building no point.
+changed a lattice, never for a class that has had none, and the fiber
+comparison reads one fiber lattice per target orbit as a perp, solving no
+torus equation and building no point.
 
 An intersection is one DD pass, run once while its meet is alive, so a fan
 and a chart system over the same charts share each chart pair's meet; a
@@ -48,7 +49,7 @@ from toriq.separation import (
     partition_matches_fibers,
 )
 
-from _oracles import unmemoised
+from _oracles import projective_space_charts, unmemoised
 
 
 @pytest.fixture(autouse=True)
@@ -77,14 +78,6 @@ def calls(monkeypatch):
     monkeypatch.setattr(intlinalg, "hermite_normal_form",
                         counting("hnf", intlinalg.hermite_normal_form))
     return counts
-
-
-def projective_space_charts(n):
-    rays = [tuple(int(i == j) for j in range(n)) for i in range(n)] + [(-1,) * n]
-    return [
-        Cone.from_generators([r for k, r in enumerate(rays) if k != skip], n)
-        for skip in range(n + 1)
-    ]
 
 
 def test_faces_run_no_dd_pass(calls):
@@ -228,10 +221,7 @@ def test_identification_builds_no_face_of_a_chart_pair_meet(monkeypatch):
     assert built == []
 
 
-def test_identification_tests_lattices_only_after_events(monkeypatch):
-    # torus-glued P^4: 31 classes, 25 events; rerunning the skip test at
-    # every step made 7,050 containment tests
-    system = FanSystem(projective_space_charts(4))
+def count_containment_tests(monkeypatch, system):
     tests = []
     contains = Sublattice.contains
 
@@ -241,8 +231,26 @@ def test_identification_tests_lattices_only_after_events(monkeypatch):
 
     monkeypatch.setattr(Sublattice, "contains", counting_contains)
     part = forced_identifications(system)
+    return part, len(tests)
+
+
+def test_identification_tests_lattices_only_after_events(monkeypatch):
+    # torus-glued P^4: 31 classes, 25 events; rerunning the skip test at
+    # every step made 7,050 containment tests, and testing a class that
+    # never had an event (a singleton whose limit face contains its own
+    # face) made 325
+    part, tests = count_containment_tests(monkeypatch, FanSystem(projective_space_charts(4)))
     assert (len(part.classes), len(part.events)) == (31, 25)
-    assert len(tests) == 325
+    assert tests == 305
+
+
+def test_identification_on_a_fan_tests_no_lattice(monkeypatch):
+    # the fan of P^4: every class stays a singleton with no event, so every
+    # step has one target class and is skipped untested; testing each
+    # (class, target) pair once made 325 containment tests
+    part, tests = count_containment_tests(monkeypatch, Fan(projective_space_charts(4)))
+    assert (len(part.classes), len(part.events)) == (31, 0)
+    assert tests == 0
 
 
 def test_fiber_comparison_solves_no_torus_equation(monkeypatch):

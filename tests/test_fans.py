@@ -17,6 +17,7 @@ from toriq.fans import (
 
 from _oracles import (
     dd_transitivity_failure,
+    projective_space_charts,
     random_fan,
     scan_minimal_cone_containing,
     scan_orbit_of_cone,
@@ -192,6 +193,27 @@ def test_transitivity_check_matches_ordered_triple_oracle():
     assert (len(subsets), accepted) == (41, 13)
 
 
+def test_fan_runs_no_transitivity_check(monkeypatch):
+    # a fan is glued along its own meets, so the check cannot fail and
+    # tests no ray; the chart system over the same charts and gluing runs
+    # it, and an intransitive gluing still fails there
+    tests = []
+    contains_point = Cone.contains_point
+
+    def counting(self, v):
+        tests.append(v)
+        return contains_point(self, v)
+
+    monkeypatch.setattr(Cone, "contains_point", counting)
+    fan = Fan(projective_space_charts(5))
+    assert len(fan.charts) == 6 and tests == []
+    FanSystem(fan.charts, fan.gluing)
+    assert tests
+    ray, zero = Cone.from_generators([(1,)], 1), Cone.zero(1)
+    with pytest.raises(GluingViolation, match="not transitive across charts 0, 1, 2"):
+        FanSystem([ray, ray, ray], {(0, 1): ray, (1, 2): ray, (0, 2): zero})
+
+
 def test_separated_system_to_fan_and_back(ex):
     tau1, rho3 = ex.cones["tau1"], ex.cones["rho3"]
     sys = build_fan_system([tau1, rho3], {(0, 1): Cone.zero(3)})
@@ -308,6 +330,29 @@ def test_system_equivalence_under_permutation(ex):
     b = FanSystem([tau2, tau1], {(0, 1): zero})
     assert a != b
     assert a.is_equivalent(b)
+
+
+def test_system_equivalence_permutes_only_equal_charts():
+    # twelve distinct rank-2 charts around the origin: only the identity
+    # renumbering maps each chart to an equal one, so comparing the
+    # torus-glued system with its fan tries one renumbering, not 12!
+    rays = [(1, 0), (2, 1), (1, 1), (1, 2), (0, 1), (-1, 1),
+            (-1, 0), (-2, -1), (-1, -1), (-1, -2), (0, -1), (1, -1)]
+    charts = [Cone.from_generators([a, b], 2) for a, b in zip(rays, rays[1:] + rays[:1])]
+    fan = Fan(charts)
+    assert len(fan.charts) == 12 and fan.charts != tuple(charts)
+    assert not FanSystem(charts).is_equivalent(fan)
+    assert FanSystem(fan.charts, fan.gluing).is_equivalent(FanSystem(charts, {
+        (charts.index(fan.charts[i]), charts.index(fan.charts[j])): g
+        for (i, j), g in fan.gluing.items()
+    }))
+    # repeated charts still need renumberings within their group
+    ray, zero = Cone.from_generators([(1,)], 1), Cone.zero(1)
+    a = FanSystem([ray, ray, ray, zero], {(0, 1): ray})
+    b = FanSystem([zero, ray, ray, ray], {(2, 3): ray})
+    assert a.is_equivalent(b) and b.is_equivalent(a)
+    assert not a.is_equivalent(FanSystem([zero, ray, ray, ray], {(1, 2): zero}))
+    assert not a.is_equivalent(FanSystem([ray, ray, ray, ray], {(0, 1): ray}))
 
 
 def test_fan_is_its_own_separated_chart_system(ex):

@@ -31,9 +31,11 @@ from toriq.separation import _test_vectors, comparison_morphism
 
 from _oracles import (
     dd_limit_targets,
+    partial_p3_gluings,
     random_fan,
     random_point,
     random_torus,
+    random_torus_glued_systems,
     random_unimodular,
     scan_orbit_assignment,
 )
@@ -281,8 +283,12 @@ def test_limit_uniqueness_on_random_fans():
 
 
 def test_limit_targets_match_dual_face_oracle(ex):
+    # separated spaces, then torus-glued systems and partial P^3 gluings,
+    # where an orbit has several realizations and a cell several limits
     rng = random.Random(54)
     spaces = [random_fan(rng, max_rank=3) for _ in range(12)] + [ex.system]
+    spaces += random_torus_glued_systems(random.Random(55), 20) + partial_p3_gluings()
+    shared = multi = 0
     for space in spaces:
         vectors = list(_test_vectors(space))
         vectors += [tuple(rng.randint(-2, 2) for _ in range(space.rank)) for _ in range(4)]
@@ -291,10 +297,13 @@ def test_limit_targets_match_dual_face_oracle(ex):
         assert len(table) == len(orbits)
         for oid, orbit in enumerate(orbits):
             assert space.orbit_id[orbit] == oid
+            shared += len(space.orbit_masks[oid]) > 1
+            expected = dd_limit_targets(space, orbit, vectors)
             for k, v in enumerate(vectors):
-                expected = dd_limit_targets(space, orbit, v)
                 from_table = tuple(orbits[t] for t in table[oid][k])
-                assert orbit_limit_targets(space, orbit, v) == expected == from_table
+                assert orbit_limit_targets(space, orbit, v) == expected[k] == from_table
+                multi += len(expected[k]) > 1
+    assert shared > 100 and multi > 150
 
 
 def test_limit_morphism_compatibility(ex):

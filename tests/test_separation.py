@@ -1,4 +1,3 @@
-import itertools
 import random
 from fractions import Fraction
 
@@ -25,9 +24,12 @@ from _oracles import (
     all_meets_test_vectors,
     contains_rational,
     dict_forced_identifications,
+    partial_p3_gluings,
     piece_partition_matches_fibers,
+    projective_space_charts,
     random_fan,
     random_torus,
+    random_torus_glued_systems,
 )
 
 
@@ -374,11 +376,7 @@ def test_punctured_plane_quotient_end_to_end():
 
 
 def torus_glued_projective_space(n):
-    rays = [tuple(int(i == j) for j in range(n)) for i in range(n)] + [(-1,) * n]
-    charts = [
-        Cone.from_generators([r for k, r in enumerate(rays) if k != skip], n)
-        for skip in range(n + 1)
-    ]
+    charts = projective_space_charts(n)
     return build_fan_system(charts), build_fan(charts)
 
 
@@ -415,40 +413,6 @@ def test_event_order_on_torus_glued_p3():
          [(o.chart, o.cone.rays) for o in e.limit_orbits])
         for e in part.events
     ] == [(v, torus, limits) for v, limits in expected]
-
-
-def random_torus_glued_systems(rng, count):
-    """Systems of 2-3 random pointed charts glued along the torus only,
-    whose chart meets need not be faces of either chart."""
-    systems = []
-    while len(systems) < count:
-        n = rng.randint(2, 3)
-        charts = [
-            Cone.from_generators(
-                [[rng.randint(-2, 2) for _ in range(n)] for _ in range(rng.randint(1, n + 1))], n
-            )
-            for _ in range(rng.randint(2, 3))
-        ]
-        if all(c.is_pointed for c in charts):
-            systems.append(FanSystem(charts))
-    return systems
-
-
-def partial_p3_gluings():
-    """Every transitive gluing of the P^3 charts along the full
-    intersections of 1-3 chart pairs."""
-    charts, _ = torus_glued_projective_space(3)
-    charts = charts.charts
-    pairs = list(itertools.combinations(range(4), 2))
-    systems = []
-    for k in (1, 2, 3):
-        for chosen in itertools.combinations(pairs, k):
-            gluing = {(i, j): charts[i].intersect(charts[j]) for i, j in chosen}
-            try:
-                systems.append(FanSystem(charts, gluing))
-            except GluingViolation:
-                pass
-    return systems
 
 
 def test_test_vectors_match_all_meets_oracle(ex):
