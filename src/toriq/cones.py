@@ -1,15 +1,16 @@
 """Rational polyhedral cones in canonical form.
 
 The single geometric engine is an incremental double description method:
-inserting one inequality at a time into a (rays, lines) description, with
-the algebraic rank test for ray adjacency.  Canonical form of a cone is its
-sorted primitive extreme rays (reduced modulo the lineality space) together
-with the saturated HNF basis of the lineality lattice, which makes equality
-and hashing structural.
+inserting one inequality at a time into a (rays, lines) description, where
+each ray keeps an int mask of the rows it is tight at, and two rays are
+adjacent iff no third ray's mask holds their common mask.  Canonical form of
+a cone is its sorted primitive extreme rays (reduced modulo the lineality
+space) together with the saturated HNF basis of the lineality lattice, which
+makes equality and hashing structural.
 
-A cone built from generators takes two description passes: generators ->
-inequalities gives the facet normals (these are the canonical extreme rays
-of the dual cone), and inequalities -> generators gives the canonical rays.
+A cone built from generators takes one description pass, generators ->
+inequalities, which gives the facet normals (the canonical extreme rays of
+the dual cone), and the rays are read off it (see ``from_generators``).
 Duality is then a pure swap of the stored data.  A face of any cone is a
 ray mask: every face holds the lineality space, and the canonical rays are
 already reduced modulo it, so they are the rays of the pointed quotient.
@@ -20,9 +21,10 @@ pass (its facets are read off the parent's facet normals and a per-mask
 dimension table), on the first lookup of its mask, and once per mask.  A
 cone is a face of another iff their lineality lattices are equal and its
 rays are the rays of a face mask, so that test is a lookup.  An
-intersection takes one description pass on both cones' facet normals; a
-meet that is a face of a pointed operand is read off that operand's face
-table, and any other meet is canonicalised from generators.
+intersection starts from one cone's own description (its rays, their masks
+read off ``incidence``, and its lines) and inserts only the other cone's
+rows; a meet that is a face of a pointed operand is read off that operand's
+face table, and any other meet is canonicalised from generators.
 
 Equal cones are built once while any copy is alive.  ``_CONES``, a
 ``WeakValueDictionary``, maps ``Cone.key()`` to the live cone with that key,
@@ -59,7 +61,7 @@ from .intlinalg import (
     lattice_points_in_box,
     primitive,
     rank_of_rows,
-    reduce_mod_span,
+    reduce_each_mod_span,
     vec,
     vec_neg,
     vec_sub,
@@ -76,24 +78,28 @@ def _combine(alpha: int, x: IntVec, beta: int, y: IntVec) -> IntVec:
 
 
 def _double_description(
-    rank: int, ineqs: Sequence[IntVec], eqs: Sequence[IntVec]
+    rank: int,
+    ineqs: Sequence[IntVec],
+    eqs: Sequence[IntVec],
+    start: tuple[Sequence[IntVec], Sequence[int], Sequence[IntVec], int] | None = None,
 ) -> tuple[list[IntVec], list[IntVec]]:
     """Rays and lines of {x : <a,x> >= 0 for a in ineqs, <b,x> = 0 for b in eqs}.
 
     Equalities are inserted first (as inequality pairs), then inequalities in
-    the given order.  Rays in the result are extreme; lines span the
-    lineality space (the returned basis need not be saturated).  Each
-    insertion pairs the new row with each current line and ray once, and
-    every new line or ray is built from those values.
+    the given order, into ``start`` (rays, their masks, lines, count of rows
+    processed), by default the whole space; bit i of a ray's mask is set when
+    the ray is tight at processed row i.  Rays in the result are extreme;
+    lines span the lineality space (the returned basis need not be
+    saturated).  Each insertion pairs the new row with each current line and
+    ray once, and builds every new line and ray from those values.  Two rays
+    are adjacent iff no third ray's mask holds their common mask (Fukuda &
+    Prodon, 1996), which first needs at least rank(processed) - 2 bits.
     """
-    rays: list[IntVec] = []
-    lines: list[IntVec] = [
-        tuple(1 if i == j else 0 for j in range(rank)) for i in range(rank)
-    ]
-    processed: list[IntVec] = []
+    rays, masks, lines, done = start or ([], [], IntMatrix.identity(rank).rows, 0)
+    lines, bit = list(lines), 1 << done
 
     def insert(a: IntVec) -> None:
-        nonlocal rays, lines
+        nonlocal rays, masks, lines, bit
         if is_zero_vec(a):
             return
         line_values = [dot(a, l) for l in lines]
@@ -103,33 +109,25 @@ def _double_description(
             if al0 < 0:
                 l0, al0 = vec_neg(l0), -al0
             lines = [_combine(al0, l, v, l0) for l, v in zip(lines, line_values)]
-            rays = [_combine(al0, r, dot(a, r), l0) for r in rays]
-            rays.append(l0)
+            rays = [_combine(al0, r, dot(a, r), l0) for r in rays] + [l0]
+            masks = [z | bit for z in masks] + [bit - 1]
         else:
             values = [dot(a, r) for r in rays]
             if any(v < 0 for v in values):
-                rank_proc = rank_of_rows(processed)
-                pos = [(r, v) for r, v in zip(rays, values) if v > 0]
-                zero = [r for r, v in zip(rays, values) if v == 0]
-                neg = [(r, v) for r, v in zip(rays, values) if v < 0]
-                tight = {
-                    r: [p for p in processed if dot(p, r) == 0] for r, _ in pos + neg
-                }
-                combos: list[IntVec] = []
-                for rp, vp in pos:
-                    tp = tight[rp]
-                    for rn, vn in neg:
-                        common = [p for p in tp if dot(p, rn) == 0]
-                        if rank_of_rows(common) == rank_proc - 2:
-                            combos.append(_combine(vp, rn, vn, rp))
-                new_rays = [r for r, _ in pos] + zero
-                seen = set(new_rays)
-                for c in combos:
-                    if c not in seen:
-                        seen.add(c)
-                        new_rays.append(c)
-                rays = new_rays
-        processed.append(a)
+                least = rank - len(lines) - 2
+                pos = [(r, v, z) for r, v, z in zip(rays, values, masks) if v > 0]
+                neg = [(r, v, z) for r, v, z in zip(rays, values, masks) if v < 0]
+                new = [(r, z) for r, _, z in pos]
+                new += [(r, z | bit) for r, v, z in zip(rays, values, masks) if v == 0]
+                for rp, vp, zp in pos:
+                    for rn, vn, zn in neg:
+                        both = zp & zn
+                        if both.bit_count() >= least and sum(both & z == both for z in masks) < 3:
+                            new.append((_combine(vp, rn, vn, rp), both | bit))
+                rays, masks = [r for r, _ in new], [z for _, z in new]
+            else:
+                masks = [z | bit if v == 0 else z for z, v in zip(masks, values)]
+        bit <<= 1
 
     for b in eqs:
         if not is_zero_vec(b):
@@ -165,6 +163,10 @@ class Cone:
 
     @classmethod
     def from_generators(cls, generators: Iterable[Sequence[int]], rank: int) -> "Cone":
+        """cone(generators), by one description pass to the facet normals: L
+        is the perp of the facet normals and the dual lineality basis, and a
+        generator is a ray iff its tight facet normals and that basis have
+        rank n - dim L - 1."""
         gens: list[IntVec] = []
         for g in generators:
             g = vec(g)
@@ -178,9 +180,13 @@ class Cone:
             rays_d, lines_d = _double_description(rank, key[1], [])
             dual_lin = Sublattice.from_rows(rank, lines_d).saturate()
             facets = _canonical_rays(rays_d, dual_lin)
-            rays_p, lines_p = _double_description(rank, facets, dual_lin.basis)
-            lin = Sublattice.from_rows(rank, lines_p).saturate()
-            cone = _canonical(cls(rank, _canonical_rays(rays_p, lin), lin, facets, dual_lin))
+            lin = Sublattice.from_rows(rank, facets + dual_lin.basis).perp()
+            rays = [
+                g for g in key[1]
+                if rank_of_rows([u for u in facets if dot(u, g) == 0] + list(dual_lin.basis))
+                == rank - lin.rank - 1
+            ]
+            cone = _canonical(cls(rank, _canonical_rays(rays, lin), lin, facets, dual_lin))
             _CONES[key] = cone
         return cone
 
@@ -408,8 +414,8 @@ class Cone:
         return mask is not None and mask in other.face_masks
 
     def intersect(self, other: "Cone") -> "Cone":
-        """The intersection, by one description pass on both cones' facet
-        normals, once while it is alive: ``_CONES`` holds it under
+        """The intersection, by one description pass (see ``_meet``), once
+        while it is alive: ``_CONES`` holds it under
         ``("meet",)`` plus the operands' sorted keys, so ``a.intersect(b)``
         is ``b.intersect(a)``.  A meet that is a face of a pointed operand
         (and so pointed, with canonical rays) is that operand's face from its
@@ -423,9 +429,18 @@ class Cone:
         return meet
 
     def _meet(self, other: "Cone") -> "Cone":
-        ineqs = sorted(set(self.facet_normals + other.facet_normals))
-        eqs = self.span_perp.basis + other.span_perp.basis
-        rays, lines = _double_description(self.ambient, ineqs, eqs)
+        """Cut this cone's own description, pointed or not, by the other's
+        rows: a ray's mask has bit i for facet normal i, then one bit per
+        ``span_perp`` row, set on every ray."""
+        nf, eq = len(self.facet_normals), self.span_perp.rank
+        masks = [
+            sum(1 << i for i, z in enumerate(self.incidence) if z >> k & 1) | ((1 << eq) - 1) << nf
+            for k in range(len(self.rays))
+        ]
+        start = (list(self.rays), masks, self.lineality.basis, nf + eq)
+        rays, lines = _double_description(
+            self.ambient, other.facet_normals, other.span_perp.basis, start
+        )
         for c in (x for x in (self, other) if x.is_pointed):
             mask = c.mask_of(rays)
             if mask is not None and mask in c.face_masks:
@@ -475,12 +490,8 @@ def _canonical(cone: Cone) -> Cone:
 
 
 def _canonical_rays(rays: Iterable[IntVec], lineality: Sublattice) -> tuple[IntVec, ...]:
-    out = set()
-    for r in rays:
-        reduced = reduce_mod_span(r, lineality.basis)
-        if not is_zero_vec(reduced):
-            out.add(reduced)
-    return tuple(sorted(out))
+    reduced = reduce_each_mod_span(rays, lineality.basis)
+    return tuple(sorted({r for r in reduced if not is_zero_vec(r)}))
 
 
 # ---------------------------------------------------------------------------

@@ -19,9 +19,11 @@ Rank, rational span and ray reduction share one fraction-free elimination
 HNF transform.  ``fractions.Fraction`` appears only in torus coordinates:
 monomial values, coset reduction and the torus equation solver.
 
+A saturated kernel is one Hermite elimination; Smith normal forms serve only
+quotient data, invariant factors and the torus equation solver.
 ``Sublattice.perp`` is memoised in ``_PERPS``, a ``WeakValueDictionary``
 keyed by the input's ``(ambient, basis)``: while the result of one perp is
-alive, an equal input gets that object back with no Smith normal form.  The
+alive, an equal input gets that object back with no elimination.  The
 memo holds its values weakly, so a lattice lives exactly as long as a caller
 keeps it, and nothing stores a perp on its input: a lattice and its perp
 that referred to each other would form a reference cycle, outlive the
@@ -224,7 +226,13 @@ def reduce_mod_span(v: Sequence[int], echelon_rows: Sequence[Sequence[int]]) -> 
     zeros in every pivot column, so it is unique up to positive scaling, and
     primitivity pins the scale.
     """
-    return primitive(_clear(list(v), _echelon(echelon_rows)))
+    return reduce_each_mod_span((v,), echelon_rows)[0]
+
+
+def reduce_each_mod_span(vs: Iterable[IntVec], rows: Sequence[IntVec]) -> list[IntVec]:
+    """``reduce_mod_span`` of each v, against one echelon form of the rows."""
+    echelon = _echelon(rows)
+    return [primitive(_clear(list(v), echelon)) for v in vs]
 
 
 # ---------------------------------------------------------------------------
@@ -419,14 +427,17 @@ class Sublattice:
 
     def perp(self) -> "Sublattice":
         """The saturated lattice of integer vectors orthogonal to this one,
-        one object per input while it is alive (see ``_PERPS``)."""
+        one object per input while it is alive (see ``_PERPS``); a full-rank
+        lattice's is zero with no elimination."""
         key = (self.ambient, self.basis)
         out = _PERPS.get(key)
         if out is None:
-            if self.basis:
-                out = kernel_saturated(self.matrix())
-            else:
+            if not self.basis:
                 out = Sublattice.full(self.ambient)
+            elif self.rank == self.ambient:
+                out = Sublattice.zero(self.ambient)
+            else:
+                out = kernel_saturated(self.matrix())
             _PERPS[key] = out
         return out
 
@@ -497,9 +508,13 @@ _PERPS: "weakref.WeakValueDictionary[tuple, Sublattice]" = weakref.WeakValueDict
 
 
 def kernel_saturated(m: IntMatrix) -> Sublattice:
-    """The saturated kernel lattice {v : m @ v == 0}."""
-    d, _, v = smith_normal_form(m)
-    return _snf_kernel(d, v)
+    """The saturated kernel lattice {v : m @ v == 0}, by one Hermite
+    elimination of [m^T | I] on all its columns: the rows whose m^T part
+    vanishes come last, and their I part is the kernel's HNF basis."""
+    k = m.nrows
+    a = [list(col) + [int(i == j) for j in range(m.ncols)] for i, col in enumerate(m.columns())]
+    _hermite(a, k + m.ncols)
+    return Sublattice(m.ncols, tuple(tuple(row[k:]) for row in a if not any(row[:k])))
 
 
 def _snf_kernel(d: IntMatrix, v: IntMatrix) -> Sublattice:

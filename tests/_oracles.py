@@ -24,6 +24,9 @@ from toriq.intlinalg import (
     is_zero_vec,
     kernel_saturated,
     primitive,
+    rank_of_rows,
+    reduce_mod_span,
+    smith_normal_form,
     vec,
     vec_neg,
 )
@@ -551,6 +554,124 @@ def piece_partition_matches_fibers(part, kappa):
              "piece subtori match the class" if good else "piece subtori differ from the class")
         )
     return ok, report
+
+
+# ---------------------------------------------------------------------------
+# the geometry kernel's former routes: description passes with the rank
+# adjacency test, two passes per cone, meets from both cones' facet normals,
+# and kernels read off a Smith normal form
+
+
+def rank_test_double_description(rank: int, ineqs, eqs) -> tuple[list, list]:
+    """Rays and lines of {x : <a,x> >= 0 for a in ineqs, <b,x> = 0 for b in
+    eqs}, inserted as ``cones._double_description`` inserts them into the
+    whole space, with the algebraic adjacency test: a positive and a
+    negative ray are adjacent iff the processed rows tight at both have rank
+    two less than all processed rows."""
+    rays: list = []
+    lines: list = [tuple(int(i == j) for j in range(rank)) for i in range(rank)]
+    processed: list = []
+
+    def insert(a) -> None:
+        nonlocal rays, lines
+        if is_zero_vec(a):
+            return
+        line_values = [dot(a, l) for l in lines]
+        split = next((i for i, v in enumerate(line_values) if v != 0), None)
+        if split is not None:
+            l0, al0 = lines.pop(split), line_values.pop(split)
+            if al0 < 0:
+                l0, al0 = vec_neg(l0), -al0
+            lines = [cones._combine(al0, l, v, l0) for l, v in zip(lines, line_values)]
+            rays = [cones._combine(al0, r, dot(a, r), l0) for r in rays] + [l0]
+        else:
+            values = [dot(a, r) for r in rays]
+            if any(v < 0 for v in values):
+                rank_proc = rank_of_rows(processed)
+                pos = [(r, v) for r, v in zip(rays, values) if v > 0]
+                neg = [(r, v) for r, v in zip(rays, values) if v < 0]
+                new_rays = [r for r, _ in pos] + [r for r, v in zip(rays, values) if v == 0]
+                seen = set(new_rays)
+                tight = {r: [p for p in processed if dot(p, r) == 0] for r, _ in pos + neg}
+                for rp, vp in pos:
+                    for rn, vn in neg:
+                        common = [p for p in tight[rp] if dot(p, rn) == 0]
+                        if rank_of_rows(common) == rank_proc - 2:
+                            c = cones._combine(vp, rn, vn, rp)
+                            if c not in seen:
+                                seen.add(c)
+                                new_rays.append(c)
+                rays = new_rays
+        processed.append(a)
+
+    for b in eqs:
+        if not is_zero_vec(b):
+            insert(tuple(b))
+            insert(vec_neg(b))
+    for a in ineqs:
+        insert(tuple(a))
+    return rays, lines
+
+
+def snf_kernel_saturated(m: IntMatrix) -> Sublattice:
+    """The saturated kernel {v : m @ v == 0} read off U @ m @ V == D: the
+    columns of V at the zero diagonal entries of D."""
+    d, _, v = smith_normal_form(m)
+    cols = [v.column(j) for j in range(v.ncols) if j >= d.nrows or d.rows[j][j] == 0]
+    return Sublattice.from_rows(v.ncols, cols)
+
+
+def _snf_saturate(rank: int, rows) -> Sublattice:
+    """The saturated lattice of the rows' Q-span, as a perp of a perp."""
+    lattice = Sublattice.from_rows(rank, rows)
+    if not lattice.basis:
+        return lattice
+    perp = snf_kernel_saturated(lattice.matrix())
+    if not perp.basis:
+        return Sublattice.full(rank)
+    return snf_kernel_saturated(perp.matrix())
+
+
+def _reduced_rays(rays, lineality: Sublattice) -> tuple:
+    """Sorted distinct nonzero ``reduce_mod_span`` images, one echelon form
+    per ray."""
+    reduced = {reduce_mod_span(r, lineality.basis) for r in rays}
+    return tuple(sorted(r for r in reduced if not is_zero_vec(r)))
+
+
+def two_pass_cone(generators, rank: int) -> Cone:
+    """cone(generators) in canonical form by two rank-test description
+    passes, generators to facet normals and facet normals back to rays, with
+    lattices saturated through Smith normal forms.  The cone is built
+    directly, so no memo answers for it or holds it."""
+    gens = sorted({primitive(vec(g)) for g in generators if not is_zero_vec(vec(g))})
+    rays_d, lines_d = rank_test_double_description(rank, gens, [])
+    dual_lin = _snf_saturate(rank, lines_d)
+    facets = _reduced_rays(rays_d, dual_lin)
+    rays_p, lines_p = rank_test_double_description(rank, facets, dual_lin.basis)
+    lin = _snf_saturate(rank, lines_p)
+    return Cone(rank, _reduced_rays(rays_p, lin), lin, facets, dual_lin)
+
+
+def from_scratch_meet(a: Cone, b: Cone) -> Cone:
+    """a meet b by one rank-test description pass over the whole space on
+    both cones' sorted facet normals, with both orthogonal lattices as
+    equalities, canonicalised by ``two_pass_cone``."""
+    ineqs = sorted(set(a.facet_normals + b.facet_normals))
+    eqs = a.span_perp.basis + b.span_perp.basis
+    rays, lines = rank_test_double_description(a.ambient, ineqs, eqs)
+    return two_pass_cone(rays + [x for l in lines for x in (l, vec_neg(l))], a.ambient)
+
+
+def canonical_fields(c: Cone) -> tuple:
+    """The four canonical fields of a cone."""
+    return c.rays, c.lineality, c.facet_normals, c.span_perp
+
+
+def cyclic_cone_generators(k: int) -> list:
+    """The generators (1, t, ..., t^5), t = 1..k, of the cone over the cyclic
+    5-polytope with k vertices: k rays and 2 * C(k - 3, 2) facets."""
+    return [tuple(t**i for i in range(6)) for t in range(1, k + 1)]
 
 
 # ---------------------------------------------------------------------------

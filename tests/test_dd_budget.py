@@ -19,15 +19,19 @@ first lookup of its mask, once per cone, and an orbit index or a fan builds
 one face per orbit or per distinct ray set.  A cone is its own full face,
 and a face equal to a live cone (a face shared by several charts, say) is
 that cone, found by its key before its orthogonal lattice is computed.
-Lattices are memoised the same way: ``Sublattice.perp`` runs one Smith normal
-form per distinct live input.  A lattice basis comes from the bare-row
-Hermite elimination, which builds no transform, and a description pass
-pairs each inserted row with each line and ray once.
+Lattices are memoised the same way: ``Sublattice.perp`` runs one saturated
+kernel per distinct live input, and a kernel is one Hermite elimination,
+with no Smith normal form.  A lattice basis comes from the bare-row
+Hermite elimination, which builds no transform.  A cone built from
+generators takes one description pass, and a pass pairs each inserted row
+with each line and ray once.
 
 The pins are exact counts; each test's comment gives the larger count of
 the code that rebuilt meets, built every face of every chart, built each
-equal face and lattice again, or solved a torus equation per fiber
-lattice, so each pin fails on that code.  The memos
+equal face and lattice again, solved a torus equation per fiber lattice,
+ran two description passes per cone, or read each kernel off a Smith normal
+form and then ran a Hermite elimination on its columns, so each pin fails
+on that code.  The memos
 hold their values weakly, so a lattice or cone that another test keeps
 alive would answer a lookup; each test starts from empty memos, and this
 module also runs on its own.
@@ -62,13 +66,21 @@ def fresh_memos():
 
 @pytest.fixture
 def calls(monkeypatch):
-    counts = {"dd": 0, "intersect": 0, "face": 0, "snf": 0, "hnf": 0}
+    counts = dict.fromkeys(("dd", "intersect", "face", "snf", "hnf", "hermite", "kernel", "elim"), 0)
 
     def counting(key, f):
         def wrapped(*args):
             counts[key] += 1
             return f(*args)
         return wrapped
+
+    def kernel(m, kernel_saturated=intlinalg.kernel_saturated):
+        # "elim": the eliminations (Hermite or Smith) a kernel runs
+        before = counts["hermite"] + counts["snf"]
+        out = kernel_saturated(m)
+        counts["kernel"] += 1
+        counts["elim"] += counts["hermite"] + counts["snf"] - before
+        return out
 
     monkeypatch.setattr(cones, "_double_description", counting("dd", cones._double_description))
     monkeypatch.setattr(Cone, "intersect", counting("intersect", Cone.intersect))
@@ -77,6 +89,8 @@ def calls(monkeypatch):
                         counting("snf", intlinalg.smith_normal_form))
     monkeypatch.setattr(intlinalg, "hermite_normal_form",
                         counting("hnf", intlinalg.hermite_normal_form))
+    monkeypatch.setattr(intlinalg, "_hermite", counting("hermite", intlinalg._hermite))
+    monkeypatch.setattr(intlinalg, "kernel_saturated", kernel)
     return counts
 
 
@@ -118,42 +132,46 @@ def test_faces_of_a_cone_with_lineality_run_no_dd_pass(calls):
 def test_fan_meets_read_off_the_face_tables(calls):
     # 5 cones, 10 meets, 31 distinct cones; the 5 charts are their own full
     # faces, so 26 faces are looked up and 25 have a perp to compute (the
-    # zero cone's is the full lattice); building each chart again as its own
-    # full face made 31 face builds and 30 Smith normal forms, and three DD
-    # passes per meet and every face of every cone built made 30 DD passes,
-    # 80 face builds and 95 Smith normal forms
+    # zero cone's is the full lattice), one kernel and one elimination each;
+    # building each chart again as its own full face made 31 face builds and
+    # 30 kernels, three DD passes per meet and every face of every cone built
+    # made 30 DD passes, 80 face builds and 95 kernels, and reading each
+    # kernel off a Smith normal form made 50 eliminations for the 25
     charts = projective_space_charts(4)
-    calls.update(dd=0, intersect=0, face=0, snf=0)
+    calls.update(dd=0, intersect=0, face=0, kernel=0, elim=0)
     fan = Fan(charts)
     assert len(fan.all_cones) == 31 and calls["intersect"] == 10
-    assert (calls["dd"], calls["face"], calls["snf"]) == (10, 26, 25)
+    assert (calls["dd"], calls["face"], calls["kernel"], calls["elim"]) == (10, 26, 25, 25)
 
 
 def test_fan_system_and_identifications_meet_each_chart_pair_once(calls):
     # building each chart again as its own full face, and every lattice
-    # once per copy, made 15 face builds and 25 Smith normal forms;
-    # rebuilding each meet and every chart face made 18 DD passes and 32
-    # face builds
+    # once per copy, made 15 face builds and 25 kernels; rebuilding each
+    # meet and every chart face made 18 DD passes and 32 face builds; the
+    # perp of a full-rank lattice is zero with no kernel, and running one
+    # there too and reading each kernel off a Smith normal form made 30
+    # eliminations for 15 kernels
     charts = projective_space_charts(3)
-    calls.update(dd=0, intersect=0, face=0, snf=0)
+    calls.update(dd=0, intersect=0, face=0, kernel=0, elim=0)
     system = Fan(charts)
     part = forced_identifications(system)
     assert system.separated and len(part.classes) == 15
     assert calls["intersect"] == 6
-    assert (calls["dd"], calls["face"], calls["snf"]) == (6, 11, 15)
+    assert (calls["dd"], calls["face"], calls["kernel"], calls["elim"]) == (6, 11, 14, 14)
 
 
 def test_orbit_index_builds_one_face_per_orbit(calls):
     # torus-glued P^3: 29 orbits, 4 of them the charts themselves, and 10
-    # distinct nonzero proper faces, so one Smith normal form each; building
-    # each chart again as its own full face, and a face shared by several
-    # charts once per chart, made 29 face builds and 28 Smith normal forms,
-    # and building every face of every chart made 32 face builds
+    # distinct nonzero proper faces, so one kernel and one elimination each;
+    # building each chart again as its own full face, and a face shared by
+    # several charts once per chart, made 29 face builds and 28 kernels,
+    # building every face of every chart made 32 face builds, and reading
+    # each kernel off a Smith normal form made 20 eliminations
     charts = projective_space_charts(3)
-    calls.update(dd=0, face=0, snf=0)
+    calls.update(dd=0, face=0, kernel=0, elim=0)
     system = FanSystem(charts)
     assert len(system.orbits()) == 29
-    assert (calls["dd"], calls["face"], calls["snf"]) == (0, 25, 10)
+    assert (calls["dd"], calls["face"], calls["kernel"], calls["elim"]) == (0, 25, 10, 10)
 
 
 def test_comparison_morphism_builds_no_cone(calls):
@@ -284,39 +302,78 @@ def test_fiber_comparison_solves_no_torus_equation(monkeypatch):
 def test_quotient_check_on_torus_glued_p4(calls):
     # the whole check: a chart system and a fan over the same 5 charts, the
     # comparison morphism, the identifications and the fiber comparison; the
-    # system reads the fan's 10 chart-pair meets, so 10 DD passes and 37
-    # Smith normal forms run; computing each meet for the fan and again for
-    # the system, and solving one torus equation per target orbit, made 20
-    # DD passes and 68 Smith normal forms.  Every lattice basis comes from
-    # the bare-row Hermite elimination, so no Hermite transform is built;
-    # running ``hermite_normal_form`` and dropping its transform made 157
+    # system reads the fan's 10 chart-pair meets, so 10 DD passes and 36
+    # kernels run, one Hermite elimination each, and no Smith normal form;
+    # computing each meet for the fan and again for the system, and solving
+    # one torus equation per target orbit, made 20 DD passes and 68 Smith
+    # normal forms, and running a kernel for the perp of a full-rank lattice
+    # and reading each kernel off a Smith normal form made 37 Smith normal
+    # forms and 74 eliminations for 37 kernels.  Every lattice
+    # basis comes from the bare-row Hermite elimination, so no Hermite
+    # transform is built; running ``hermite_normal_form`` and dropping its
+    # transform made 157
     charts = projective_space_charts(4)
-    calls.update(dd=0, intersect=0, face=0, snf=0, hnf=0)
+    calls.update(dd=0, intersect=0, face=0, snf=0, hnf=0, kernel=0, elim=0)
     system, fan = FanSystem(charts), Fan(charts)
     kappa = comparison_morphism(system, fan)
     part = forced_identifications(system)
     ok, _ = partition_matches_fibers(part, kappa)
     assert ok and (len(part.classes), len(part.events)) == (31, 25)
-    assert (calls["dd"], calls["snf"], calls["hnf"]) == (10, 37, 0)
+    assert (calls["dd"], calls["kernel"], calls["elim"]) == (10, 36, 36)
+    assert (calls["snf"], calls["hnf"]) == (0, 0)
 
 
 def test_description_pass_pairs_each_row_once(monkeypatch):
-    # a P^4 chart from its 4 generators: two description passes, each
-    # pairing every inserted row with each current line and ray once;
+    # a P^4 chart from its 4 generators: one description pass, which pairs
+    # each inserted generator with each current line and ray once (4 + 3 +
+    # 2 + 1 lines, 0 + 1 + 2 + 3 rays: 16 dot products), then the rays are
+    # read off its 4 facet normals with one dot product per (facet normal,
+    # generator) pair, 16 more.  A second pass from the facet normals back
+    # to the rays made 32 dot products inside description passes, and
     # recomputing each pairing per coordinate of every new line and ray,
-    # and again for the sign test, made 126 dot products
-    count = [0]
-    dot = cones.dot
+    # and again for the sign test, made 126 over those two passes
+    count = {"dd": 0, "all": 0}
+    dot, dd = cones.dot, cones._double_description
 
-    def counting(a, b):
-        count[0] += 1
+    def counting_dot(a, b):
+        count["all"] += 1
         return dot(a, b)
 
+    def counting_dd(*args):
+        before = count["all"]
+        out = dd(*args)
+        count["dd"] += count["all"] - before
+        return out
+
     rays = [(0, 1, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1), (-1, -1, -1, -1)]
-    monkeypatch.setattr(cones, "dot", counting)
+    monkeypatch.setattr(cones, "dot", counting_dot)
+    monkeypatch.setattr(cones, "_double_description", counting_dd)
     chart = Cone.from_generators(rays, 4)
     assert len(chart.facet_normals) == 4 and chart.dim == 4
-    assert count[0] == 32
+    assert (count["dd"], count["all"] - count["dd"]) == (16, 16)
+
+
+def test_from_generators_runs_one_dd_pass_per_miss(calls):
+    # a pointed cone, a cone with a line, a cone spanning a hyperplane and
+    # the cyclic cone over 10 points: one description pass each, from the
+    # generators to the facet normals, with the rays read off it; the same
+    # generators in another order, scaled or repeated find the memoised
+    # cone with no pass.  Two passes per cone, the second from the facet
+    # normals back to the rays, made 8
+    gens = [
+        [(1, 0, 0), (0, 1, 0), (1, 1, 3)],
+        [(1, 0, 0), (0, 1, 0), (0, -1, 0), (1, 1, 3)],
+        [(1, 0, 0), (0, 1, 0), (1, 1, 0)],
+        [tuple(t**i for i in range(6)) for t in range(1, 11)],
+    ]
+    calls["dd"] = 0
+    built = [Cone.from_generators(g, len(g[0])) for g in gens]
+    assert [c.lineality.rank for c in built[:3]] == [0, 1, 0]
+    assert [c.dim for c in built] == [3, 3, 2, 6]
+    assert calls["dd"] == 4
+    again = [Cone.from_generators([tuple(2 * x for x in v) for v in g[::-1]] + g, len(g[0]))
+             for g in gens]
+    assert all(a is b for a, b in zip(again, built)) and calls["dd"] == 4
 
 
 def test_second_call_reads_the_cache(monkeypatch):
