@@ -48,10 +48,10 @@ collector last ran.
 from __future__ import annotations
 
 import weakref
-from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable, Sequence
 
+from .frozen import Frozen
 from .intlinalg import (
     IntMatrix,
     IntVec,
@@ -142,8 +142,7 @@ def _double_description(
 # cones
 
 
-@dataclass(frozen=True, eq=False)
-class Cone:
+class Cone(Frozen):
     """A rational polyhedral cone in canonical form.
 
     ``rays`` are the primitive extreme rays reduced modulo the lineality
@@ -153,11 +152,13 @@ class Cone:
     orthogonal to the span of the cone.
     """
 
-    ambient: int
-    rays: tuple[IntVec, ...]
-    lineality: Sublattice
-    facet_normals: tuple[IntVec, ...]
-    span_perp: Sublattice
+    def __init__(self, ambient: int, rays: tuple[IntVec, ...], lineality: Sublattice,
+                 facet_normals: tuple[IntVec, ...], span_perp: Sublattice):
+        object.__setattr__(self, "ambient", ambient)
+        object.__setattr__(self, "rays", rays)
+        object.__setattr__(self, "lineality", lineality)
+        object.__setattr__(self, "facet_normals", facet_normals)
+        object.__setattr__(self, "span_perp", span_perp)
 
     # -- construction -------------------------------------------------------
 
@@ -449,13 +450,23 @@ class Cone:
         return Cone.from_generators(gens, self.ambient)
 
 
-@dataclass(frozen=True)
-class PointClassification:
+class PointClassification(Frozen):
     """Location of a point relative to a cone: outside, on a proper face, or
     in the relative interior.  ``face`` carries the minimal containing face."""
 
-    kind: str
-    face: Cone | None = None
+    _fields = ("kind", "face")
+
+    def __init__(self, kind: str, face: Cone | None = None):
+        object.__setattr__(self, "kind", kind)
+        object.__setattr__(self, "face", face)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return (self.kind, self.face) == (other.kind, other.face)
+        return NotImplemented
+
+    def __hash__(self):
+        return hash((self.kind, self.face))
 
     @classmethod
     def outside(cls) -> "PointClassification":

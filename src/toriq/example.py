@@ -13,30 +13,41 @@ quotient structure that the verification pipeline checks.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
 
 from .cones import Cone
 from .fans import Fan, FanSystem
+from .frozen import Frozen
 from .intlinalg import IntMatrix, IntVec, Sublattice
 from .morphisms import ToricMorphism
 from .scene import Scene, builtin_scene
 
 
-@dataclass(frozen=True)
-class ExampleData:
-    lattice_map: IntMatrix
-    weight: IntVec
-    source_fan: Fan
-    target_fan: Fan
-    system: FanSystem
-    pi: ToricMorphism
-    pi_tilde: ToricMorphism
-    kappa: ToricMorphism
-    cones: dict
-    expected_present: tuple[Cone, ...]
-    expected_absent: tuple[Cone, ...]
-    expected_partition: tuple
-    limit_vector: IntVec
+class ExampleData(Frozen):
+    _fields = (
+        "lattice_map", "weight", "source_fan", "target_fan", "system", "pi", "pi_tilde",
+        "kappa", "cones", "expected_present", "expected_absent", "expected_partition",
+        "limit_vector",
+    )
+
+    def __init__(
+        self, lattice_map: IntMatrix, weight: IntVec, source_fan: Fan, target_fan: Fan,
+        system: FanSystem, pi: ToricMorphism, pi_tilde: ToricMorphism, kappa: ToricMorphism,
+        cones: dict, expected_present: tuple[Cone, ...], expected_absent: tuple[Cone, ...],
+        expected_partition: tuple, limit_vector: IntVec,
+    ):
+        object.__setattr__(self, "lattice_map", lattice_map)
+        object.__setattr__(self, "weight", weight)
+        object.__setattr__(self, "source_fan", source_fan)
+        object.__setattr__(self, "target_fan", target_fan)
+        object.__setattr__(self, "system", system)
+        object.__setattr__(self, "pi", pi)
+        object.__setattr__(self, "pi_tilde", pi_tilde)
+        object.__setattr__(self, "kappa", kappa)
+        object.__setattr__(self, "cones", cones)
+        object.__setattr__(self, "expected_present", expected_present)
+        object.__setattr__(self, "expected_absent", expected_absent)
+        object.__setattr__(self, "expected_partition", expected_partition)
+        object.__setattr__(self, "limit_vector", limit_vector)
 
 
 def build_example(scene: Scene | None = None) -> ExampleData:

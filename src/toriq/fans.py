@@ -18,12 +18,16 @@ reads the one index from ids to (chart, mask) pairs and back.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cached_property
+from math import factorial, prod
 from typing import Iterable, Mapping, Sequence
 
 from .cones import Cone
+from .frozen import Frozen
 from .intlinalg import vec
+
+# 7!: seven copies of one chart take about 0.15 s to compare
+MAX_RENUMBERINGS = 5040
 
 
 class FanViolation(ValueError):
@@ -42,12 +46,22 @@ class GluingViolation(ValueError):
     data is not transitively consistent."""
 
 
-@dataclass(frozen=True)
-class OrbitIndex:
+class OrbitIndex(Frozen):
     """Canonical label of a torus orbit: a chart id and a face of that chart."""
 
-    chart: int
-    cone: Cone
+    _fields = ("chart", "cone")
+
+    def __init__(self, chart: int, cone: Cone):
+        object.__setattr__(self, "chart", chart)
+        object.__setattr__(self, "cone", cone)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return (self.chart, self.cone) == (other.chart, other.cone)
+        return NotImplemented
+
+    def __hash__(self):
+        return hash((self.chart, self.cone))
 
     def sort_key(self):
         return (self.cone.dim, self.chart, self.cone.key())
@@ -223,7 +237,9 @@ class FanSystem:
     def is_equivalent(self, other: "FanSystem") -> bool:
         """Equality up to renumbering the charts.  A renumbering maps each
         chart to an equal one, so the charts are grouped by ``Cone.key()``
-        and only renumberings within a group (repeated charts) are tried."""
+        and only renumberings within a group (repeated charts) are tried.
+        More than ``MAX_RENUMBERINGS`` of them is a ``ValueError``, raised
+        before any is tried."""
         import itertools
 
         if not isinstance(other, FanSystem):
@@ -236,6 +252,12 @@ class FanSystem:
                 groups.setdefault(c.key(), ([], []))[side].append(i)
         if any(len(mine) != len(theirs) for mine, theirs in groups.values()):
             return False
+        count = prod(factorial(len(t)) for _, t in groups.values())
+        if count > MAX_RENUMBERINGS:
+            raise ValueError(
+                f"comparing up to renumbering needs {count} renumberings of equal charts, "
+                f"more than the limit of {MAX_RENUMBERINGS}"
+            )
         n = len(self.charts)
         mine = [i for m, _ in groups.values() for i in m]
         for choice in itertools.product(*(itertools.permutations(t) for _, t in groups.values())):

@@ -35,12 +35,13 @@ from __future__ import annotations
 
 import itertools
 import weakref
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from math import gcd
 from operator import mul
 from typing import Iterable, Sequence
+
+from .frozen import Frozen
 
 IntVec = tuple[int, ...]
 FracVec = tuple[Fraction, ...]
@@ -113,15 +114,13 @@ def bezout_2x2(a: int, b: int) -> tuple[int, int, int, int, int]:
 # matrices
 
 
-@dataclass(frozen=True)
-class IntMatrix:
+class IntMatrix(Frozen):
     """Immutable integer matrix, acting on column vectors: v -> M @ v.
 
     Semantically a homomorphism Z^ncols -> Z^nrows.
     """
 
-    rows: tuple[IntVec, ...]
-    ncols: int
+    _fields = ("rows", "ncols")
 
     def __init__(self, rows: Iterable[Sequence[int]], ncols: int | None = None):
         rows_t = tuple(vec(r) for r in rows)
@@ -134,6 +133,14 @@ class IntMatrix:
                 raise ValueError("inconsistent row lengths")
         object.__setattr__(self, "rows", rows_t)
         object.__setattr__(self, "ncols", ncols)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return (self.rows, self.ncols) == (other.rows, other.ncols)
+        return NotImplemented
+
+    def __hash__(self):
+        return hash((self.rows, self.ncols))
 
     @property
     def nrows(self) -> int:
@@ -383,8 +390,7 @@ def invariant_factors(m: IntMatrix) -> tuple[int, ...]:
 # sublattices
 
 
-@dataclass(frozen=True)
-class Sublattice:
+class Sublattice(Frozen):
     """A sublattice of Z^n given by a canonical HNF row basis.
 
     The canonical basis makes equality structural; ``quotient`` data is
@@ -392,8 +398,19 @@ class Sublattice:
     torus elements modulo the associated subtorus.
     """
 
-    ambient: int
-    basis: tuple[IntVec, ...]
+    _fields = ("ambient", "basis")
+
+    def __init__(self, ambient: int, basis: tuple[IntVec, ...]):
+        object.__setattr__(self, "ambient", ambient)
+        object.__setattr__(self, "basis", basis)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return (self.ambient, self.basis) == (other.ambient, other.basis)
+        return NotImplemented
+
+    def __hash__(self):
+        return hash((self.ambient, self.basis))
 
     @classmethod
     def from_rows(cls, ambient: int, rows: Iterable[Sequence[int]]) -> "Sublattice":
@@ -574,36 +591,40 @@ def _fraction_nth_root(q: Fraction, d: int):
     return -root if q < 0 else root
 
 
-@dataclass(frozen=True)
-class CosetSolution:
+class CosetSolution(Frozen):
     """Solutions of a monomial system: representative * T_kernel, possibly
     times finitely many sign twists (one per even invariant factor)."""
 
-    representative: FracVec
-    kernel: Sublattice
-    torsion: tuple[FracVec, ...] = ()
+    _fields = ("representative", "kernel", "torsion")
+
+    def __init__(self, representative: FracVec, kernel: Sublattice,
+                 torsion: tuple[FracVec, ...] = ()):
+        object.__setattr__(self, "representative", representative)
+        object.__setattr__(self, "kernel", kernel)
+        object.__setattr__(self, "torsion", torsion)
 
 
-@dataclass(frozen=True)
-class NoRationalPoint:
+class NoRationalPoint(Frozen):
     """Solutions exist over a field extension, but none are rational.
 
     The defining data is kept so membership of candidates can still be
     tested exactly."""
 
-    kernel: Sublattice
-    exponents: IntMatrix
-    target: FracVec
+    _fields = ("kernel", "exponents", "target")
 
-    def satisfied_by(self, t: Sequence[Fraction]) -> bool:
-        return apply_exponent_matrix(self.exponents, t) == self.target
+    def __init__(self, kernel: Sublattice, exponents: IntMatrix, target: FracVec):
+        object.__setattr__(self, "kernel", kernel)
+        object.__setattr__(self, "exponents", exponents)
+        object.__setattr__(self, "target", target)
 
 
-@dataclass(frozen=True)
-class Inconsistent:
+class Inconsistent(Frozen):
     """The monomial system has no solutions at all."""
 
-    reason: str
+    _fields = ("reason",)
+
+    def __init__(self, reason: str):
+        object.__setattr__(self, "reason", reason)
 
 
 def solve_torus_equation(

@@ -8,12 +8,12 @@ minimal target cone containing the image cone.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
 from .cones import Cone
 from .fans import Fan, FanSystem, OrbitIndex
+from .frozen import Frozen
 from .intlinalg import (
     CosetSolution,
     Inconsistent,
@@ -150,14 +150,16 @@ class ToricMorphism:
         return tgt_orbit, covered
 
 
-@dataclass(frozen=True)
-class ConstructibleOrbitSet:
+class ConstructibleOrbitSet(Frozen):
     """An orbit-constructible subset of a toric variety: which orbits of the
     ambient fan are present and which are absent."""
 
-    fan: Fan
-    present: tuple[Cone, ...]
-    absent: tuple[Cone, ...]
+    _fields = ("fan", "present", "absent")
+
+    def __init__(self, fan: Fan, present: tuple[Cone, ...], absent: tuple[Cone, ...]):
+        object.__setattr__(self, "fan", fan)
+        object.__setattr__(self, "present", present)
+        object.__setattr__(self, "absent", absent)
 
 
 def toric_morphism(
@@ -297,28 +299,40 @@ def one_param_limits(
 # fibers
 
 
-@dataclass(frozen=True)
-class ParametricCoset:
+class ParametricCoset(Frozen):
     """Defining data of a fiber piece with no rational representative: the
     monomial system cutting it out, plus the kernel lattice."""
 
-    orbit: OrbitIndex
-    exponents: IntMatrix
-    target: tuple[Fraction, ...]
-    kernel: Sublattice
+    _fields = ("orbit", "exponents", "target", "kernel")
 
-    def contains_coset(self, t: TorusElement) -> bool:
-        return apply_exponent_matrix(self.exponents, t.coords) == self.target
+    def __init__(self, orbit: OrbitIndex, exponents: IntMatrix,
+                 target: tuple[Fraction, ...], kernel: Sublattice):
+        object.__setattr__(self, "orbit", orbit)
+        object.__setattr__(self, "exponents", exponents)
+        object.__setattr__(self, "target", target)
+        object.__setattr__(self, "kernel", kernel)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return ((self.orbit, self.exponents, self.target, self.kernel)
+                    == (other.orbit, other.exponents, other.target, other.kernel))
+        return NotImplemented
+
+    def __hash__(self):
+        return hash((self.orbit, self.exponents, self.target, self.kernel))
 
 
-@dataclass(frozen=True, eq=False)
-class FiberPiece:
+class FiberPiece(Frozen):
     """One irreducible piece of a fiber: the sweep of a representative by the
     subtorus T_K; K always contains the isotropy lattice of the orbit."""
 
-    orbit: OrbitIndex
-    subtorus: Sublattice
-    representative: OrbitPoint | ParametricCoset
+    _fields = ("orbit", "subtorus", "representative")
+
+    def __init__(self, orbit: OrbitIndex, subtorus: Sublattice,
+                 representative: OrbitPoint | ParametricCoset):
+        object.__setattr__(self, "orbit", orbit)
+        object.__setattr__(self, "subtorus", subtorus)
+        object.__setattr__(self, "representative", representative)
 
     @property
     def is_single_point(self) -> bool:

@@ -9,12 +9,12 @@ each other exactly.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Mapping, Sequence
 
 from .cones import Cone, semigroup_generators
 from .fans import FanSystem, OrbitIndex
+from .frozen import Frozen
 from .intlinalg import (
     CosetSolution,
     IntMatrix,
@@ -31,11 +31,8 @@ def _fraction(x: Rational) -> Fraction:
     return Fraction(x)
 
 
-@dataclass(frozen=True)
-class TorusElement:
+class TorusElement(Frozen):
     """A rational point of the torus (Q*)^n; all coordinates nonzero."""
-
-    coords: tuple[Fraction, ...]
 
     def __init__(self, coords: Sequence[Rational]):
         vals = tuple(_fraction(x) for x in coords)
@@ -43,17 +40,17 @@ class TorusElement:
             raise ValueError("torus coordinates must be nonzero")
         object.__setattr__(self, "coords", vals)
 
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return (self.coords,) == (other.coords,)
+        return NotImplemented
+
+    def __hash__(self):
+        return hash((self.coords,))
+
     @classmethod
     def identity(cls, rank: int) -> "TorusElement":
         return cls((Fraction(1),) * rank)
-
-    @classmethod
-    def one_parameter(cls, v: Sequence[int], s: Rational) -> "TorusElement":
-        """The value lambda_v(s) of the one-parameter subgroup with exponent v."""
-        s = _fraction(s)
-        if s == 0:
-            raise ValueError("parameter must be nonzero")
-        return cls(tuple(s**e for e in vec(v)))
 
     @property
     def rank(self) -> int:
@@ -79,8 +76,7 @@ class TorusElement:
         return "(" + ", ".join(str(x) for x in self.coords) + ")"
 
 
-@dataclass(frozen=True, eq=False)
-class OrbitPoint:
+class OrbitPoint(Frozen):
     """A rational point given by its orbit and a canonical coset representative.
 
     Two points are equal exactly when they lie on the same orbit and their
@@ -89,9 +85,10 @@ class OrbitPoint:
     equality is structural.
     """
 
-    space: FanSystem
-    orbit: OrbitIndex
-    coset: TorusElement
+    def __init__(self, space: FanSystem, orbit: OrbitIndex, coset: TorusElement):
+        object.__setattr__(self, "space", space)
+        object.__setattr__(self, "orbit", orbit)
+        object.__setattr__(self, "coset", coset)
 
     @classmethod
     def make(
@@ -139,8 +136,7 @@ class OrbitPoint:
         return self.as_toric(chart_id).evaluate(u)
 
 
-@dataclass(frozen=True, eq=False)
-class ToricPoint:
+class ToricPoint(Frozen):
     """A point of one affine chart as a map on dual semigroup generators.
 
     Invariants: values are multiplicative (value(u1) * value(u2) = value(u3)
@@ -148,10 +144,12 @@ class ToricPoint:
     gamma^perp for a unique face gamma of the chart (the orbit of the point).
     """
 
-    chart: Cone
-    values: tuple[tuple[IntVec, Fraction], ...]
-    face: Cone
-    coset: TorusElement
+    def __init__(self, chart: Cone, values: tuple[tuple[IntVec, Fraction], ...],
+                 face: Cone, coset: TorusElement):
+        object.__setattr__(self, "chart", chart)
+        object.__setattr__(self, "values", values)
+        object.__setattr__(self, "face", face)
+        object.__setattr__(self, "coset", coset)
 
     @classmethod
     def from_orbit(cls, chart: Cone, face: Cone, coset: TorusElement) -> "ToricPoint":
@@ -194,9 +192,6 @@ class ToricPoint:
             coset = TorusElement.identity(chart.ambient)
         vals = tuple(sorted(values.items()))
         return cls(chart, vals, face, coset)
-
-    def value_map(self) -> dict[IntVec, Fraction]:
-        return dict(self.values)
 
     def evaluate(self, u: Sequence[int]) -> Fraction:
         """Value of the character u on the point; u must lie in the chart's

@@ -9,7 +9,6 @@ input.  Floats are rejected.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
 from fractions import Fraction
 from pathlib import Path
 
@@ -63,18 +62,19 @@ def _int_vector(values, context: str) -> IntVec:
     return tuple(parse_integer(x, context) for x in _list(values, context))
 
 
-@dataclass
 class Scene:
-    """A validated collection of named entities."""
+    """A validated collection of named entities; each scene has its own
+    dicts, which ``load_scene`` fills."""
 
-    lattices: dict[str, int] = field(default_factory=dict)
-    cones: dict[str, Cone] = field(default_factory=dict)
-    fans: dict[str, Fan] = field(default_factory=dict)
-    systems: dict[str, FanSystem] = field(default_factory=dict)
-    maps: dict[str, IntMatrix] = field(default_factory=dict)
-    morphisms: dict[str, ToricMorphism] = field(default_factory=dict)
-    points: dict[str, OrbitPoint] = field(default_factory=dict)
-    weights: dict[str, IntVec] = field(default_factory=dict)
+    def __init__(self):
+        self.lattices: dict[str, int] = {}
+        self.cones: dict[str, Cone] = {}
+        self.fans: dict[str, Fan] = {}
+        self.systems: dict[str, FanSystem] = {}
+        self.maps: dict[str, IntMatrix] = {}
+        self.morphisms: dict[str, ToricMorphism] = {}
+        self.points: dict[str, OrbitPoint] = {}
+        self.weights: dict[str, IntVec] = {}
 
     def space(self, name: str) -> FanSystem:
         if name in self.fans:

@@ -19,11 +19,11 @@ resulting partition is compared against the fibers of a comparison morphism.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Sequence
 
 from .cones import Cone, image_cone
 from .fans import Fan, FanSystem, OrbitIndex
+from .frozen import Frozen
 from .intlinalg import (
     IntMatrix,
     IntVec,
@@ -82,38 +82,54 @@ def invariance_check(weight: Sequence[int], pmat: IntMatrix) -> bool:
 # identification partition
 
 
-@dataclass(frozen=True)
-class MergeEvent:
+class MergeEvent(Frozen):
     """One effective application of a closure rule."""
 
-    vector: IntVec
-    source_orbits: tuple[OrbitIndex, ...]
-    limit_orbits: tuple[OrbitIndex, ...]
+    _fields = ("vector", "source_orbits", "limit_orbits")
+
+    def __init__(self, vector: IntVec, source_orbits: tuple[OrbitIndex, ...],
+                 limit_orbits: tuple[OrbitIndex, ...]):
+        object.__setattr__(self, "vector", vector)
+        object.__setattr__(self, "source_orbits", source_orbits)
+        object.__setattr__(self, "limit_orbits", limit_orbits)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return ((self.vector, self.source_orbits, self.limit_orbits)
+                    == (other.vector, other.source_orbits, other.limit_orbits))
+        return NotImplemented
+
+    def __hash__(self):
+        return hash((self.vector, self.source_orbits, self.limit_orbits))
 
 
-@dataclass(frozen=True)
-class IdentClass:
+class IdentClass(Frozen):
     """A class of orbits identified along the subtorus T_K: points (a, t) and
     (b, t') coincide iff both orbits are members and t' * t^-1 lies in T_K."""
 
-    orbits: tuple[OrbitIndex, ...]
-    subtorus: Sublattice
+    _fields = ("orbits", "subtorus")
+
+    def __init__(self, orbits: tuple[OrbitIndex, ...], subtorus: Sublattice):
+        object.__setattr__(self, "orbits", orbits)
+        object.__setattr__(self, "subtorus", subtorus)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return (self.orbits, self.subtorus) == (other.orbits, other.subtorus)
+        return NotImplemented
+
+    def __hash__(self):
+        return hash((self.orbits, self.subtorus))
 
 
-@dataclass(frozen=True)
-class IdentificationPartition:
-    system: FanSystem
-    classes: tuple[IdentClass, ...]
-    events: tuple[MergeEvent, ...]
+class IdentificationPartition(Frozen):
+    _fields = ("system", "classes", "events")
 
-    def class_of(self, orbit: OrbitIndex) -> IdentClass:
-        for cls in self.classes:
-            if orbit in cls.orbits:
-                return cls
-        raise KeyError(f"orbit {orbit!r} is not part of the partition")
-
-    def same_class(self, a: OrbitIndex, b: OrbitIndex) -> bool:
-        return self.class_of(a) is self.class_of(b)
+    def __init__(self, system: FanSystem, classes: tuple[IdentClass, ...],
+                 events: tuple[MergeEvent, ...]):
+        object.__setattr__(self, "system", system)
+        object.__setattr__(self, "classes", classes)
+        object.__setattr__(self, "events", events)
 
 
 def _test_vectors(system: FanSystem) -> tuple[IntVec, ...]:
@@ -278,16 +294,20 @@ def _orbit_tag(o: OrbitIndex) -> str:
 # end-to-end verification of the built-in example
 
 
-@dataclass(frozen=True)
-class CheckResult:
-    name: str
-    passed: bool
-    detail: str
+class CheckResult(Frozen):
+    _fields = ("name", "passed", "detail")
+
+    def __init__(self, name: str, passed: bool, detail: str):
+        object.__setattr__(self, "name", name)
+        object.__setattr__(self, "passed", passed)
+        object.__setattr__(self, "detail", detail)
 
 
-@dataclass(frozen=True)
-class VerificationReport:
-    checks: tuple[CheckResult, ...]
+class VerificationReport(Frozen):
+    _fields = ("checks",)
+
+    def __init__(self, checks: tuple[CheckResult, ...]):
+        object.__setattr__(self, "checks", checks)
 
     @property
     def passed(self) -> bool:

@@ -19,6 +19,7 @@ from toriq.fans import Fan, FanSystem, GluingViolation, OrbitIndex
 from toriq.intlinalg import (
     IntMatrix,
     Sublattice,
+    apply_exponent_matrix,
     bezout_2x2,
     dot,
     is_zero_vec,
@@ -672,6 +673,45 @@ def cyclic_cone_generators(k: int) -> list:
     """The generators (1, t, ..., t^5), t = 1..k, of the cone over the cyclic
     5-polytope with k vertices: k rays and 2 * C(k - 3, 2) facets."""
     return [tuple(t**i for i in range(6)) for t in range(1, k + 1)]
+
+
+# ---------------------------------------------------------------------------
+# queries on library values that nothing in the library asks
+
+
+def class_of(part: IdentificationPartition, orbit: OrbitIndex) -> IdentClass:
+    """The class of a partition that holds the orbit."""
+    for cls in part.classes:
+        if orbit in cls.orbits:
+            return cls
+    raise KeyError(f"orbit {orbit!r} is not part of the partition")
+
+
+def same_class(part: IdentificationPartition, a: OrbitIndex, b: OrbitIndex) -> bool:
+    return class_of(part, a) is class_of(part, b)
+
+
+def satisfied_by(sol, t) -> bool:
+    """Does the torus point t solve the system of a ``NoRationalPoint``?"""
+    return apply_exponent_matrix(sol.exponents, t) == sol.target
+
+
+def contains_coset(coset, t: TorusElement) -> bool:
+    """Does the torus element t solve the system of a ``ParametricCoset``?"""
+    return apply_exponent_matrix(coset.exponents, t.coords) == coset.target
+
+
+def one_parameter(v, s) -> TorusElement:
+    """The value lambda_v(s) of the one-parameter subgroup with exponent v."""
+    s = Fraction(s)
+    if s == 0:
+        raise ValueError("parameter must be nonzero")
+    return TorusElement(tuple(s**e for e in vec(v)))
+
+
+def value_map(p) -> dict:
+    """A ``ToricPoint``'s values as a dict from character to value."""
+    return dict(p.values)
 
 
 # ---------------------------------------------------------------------------

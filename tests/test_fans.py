@@ -6,6 +6,7 @@ import pytest
 import toriq.cones
 from toriq.cones import Cone
 from toriq.fans import (
+    MAX_RENUMBERINGS,
     Fan,
     FanSystem,
     FanViolation,
@@ -353,6 +354,24 @@ def test_system_equivalence_permutes_only_equal_charts():
     assert a.is_equivalent(b) and b.is_equivalent(a)
     assert not a.is_equivalent(FanSystem([zero, ray, ray, ray], {(1, 2): zero}))
     assert not a.is_equivalent(FanSystem([ray, ray, ray, ray], {(0, 1): ray}))
+
+
+def test_system_equivalence_bounds_the_renumberings(monkeypatch):
+    # n copies of one chart admit n! renumberings: 7! = 5,040 is the limit,
+    # and 8 copies fail before any renumbering is tried
+    ray = Cone.from_generators([(1,)], 1)
+    seven = FanSystem([ray] * 7)
+    assert MAX_RENUMBERINGS == 5040
+    assert not seven.is_equivalent(FanSystem([ray] * 7, {(0, 1): ray}))
+    eight, eight_glued = FanSystem([ray] * 8), FanSystem([ray] * 8, {(0, 1): ray})
+    calls = []
+    original = FanSystem.gluing_cone
+    monkeypatch.setattr(
+        FanSystem, "gluing_cone", lambda self, i, j: calls.append((i, j)) or original(self, i, j)
+    )
+    with pytest.raises(ValueError, match=r"40320 renumberings .* limit of 5040"):
+        eight.is_equivalent(eight_glued)
+    assert calls == []
 
 
 def test_fan_is_its_own_separated_chart_system(ex):

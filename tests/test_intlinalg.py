@@ -30,6 +30,7 @@ from _oracles import (
     is_saturated,
     minor_gcd,
     rational_nullspace,
+    satisfied_by,
     two_list_hermite_normal_form,
 )
 
@@ -402,7 +403,7 @@ def test_solve_square_root_of_two():
     assert isinstance(sol, NoRationalPoint)
     # oracle: rational-root test for t^2 = 2
     assert integer_nth_root(2, 2) is None
-    assert not sol.satisfied_by((Fraction(3, 2),))
+    assert not satisfied_by(sol, (Fraction(3, 2),))
     assert sol.kernel.rank == 0
 
 
